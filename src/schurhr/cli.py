@@ -9,6 +9,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import acceptance, analysis
@@ -412,12 +413,20 @@ def _cmd_verify(args, cfg):
         workers = int(os.environ.get("SCHURHR_WORKERS", "0")) or (os.cpu_count() or 1)
     criteria = None
     if args.criteria:
-        criteria = [int(c) for c in args.criteria.split(",")]
+        try:
+            criteria = [int(c) for c in args.criteria.split(",")]
+        except ValueError:
+            raise CliError(f"bad --criteria {args.criteria!r}: expected comma separated ids")
         known = {cid for cid, _ in acceptance.CRITERIA}
         bad = [c for c in criteria if c not in known]
         if bad:
             raise CliError(f"unknown criterion ids {bad}; known: {sorted(known)}")
-    report = acceptance.run_all(seed=seed, workers=workers, criteria=criteria)
+    try:
+        report = acceptance.run_all(seed=seed, workers=workers, criteria=criteria)
+    except Exception as exc:  # inputs are validated above, so this is a bug
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return CHECK_VIOLATION
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if args.output is None and cfg and (cfg.get("output") or {}).get("path"):
         args.output = cfg["output"]["path"]

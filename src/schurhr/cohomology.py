@@ -272,38 +272,13 @@ class CohClass:
 def class_det(rows):
     """Determinant of a square CohClass matrix.
 
-    Division-free Laplace expansion along columns with memoization on the
-    surviving row set; the truncated ring has zero divisors, so elimination
-    methods do not apply.
+    The truncated ring has zero divisors, so elimination methods do not
+    apply; the entries go through the division-free ``kernels.det_terms``.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         raise ValueError("empty matrix")
     space = rows[0][0].space
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("matrix is not square")
-    memo = {}
-
-    def rec(row_idx):
-        if not row_idx:
-            return CohClass.unit(space)
-        got = memo.get(row_idx)
-        if got is not None:
-            return got
-        col = n - len(row_idx)
-        total = {}
-        for pos, r in enumerate(row_idx):
-            entry = rows[r][col]
-            if entry.is_zero:
-                continue
-            sub = rec(row_idx[:pos] + row_idx[pos + 1:])
-            if sub.is_zero:
-                continue
-            prod = kernels.mul_terms_capped(entry.terms, sub.terms, space.factors)
-            kernels.add_scaled(total, prod, 1 if pos % 2 == 0 else -1)
-        result = CohClass._raw(space, total)
-        memo[row_idx] = result
-        return result
-
-    return rec(tuple(range(n)))
+    caps = space.factors
+    terms = kernels.det_terms([[x.terms for x in r] for r in rows],
+                              lambda a, b: kernels.mul_terms_capped(a, b, caps))
+    return CohClass._raw(space, terms)

@@ -2,8 +2,7 @@
 
 Monomials are exponent tuples; coefficients are int or Fraction, never
 float and never stored when zero.  The canonical term order is graded
-lexicographic (descending), used for serialization, printing and exact
-division.
+lexicographic (descending), used for serialization and printing.
 """
 
 from fractions import Fraction
@@ -432,59 +431,3 @@ def elementary(i, e):
             extra = kernels.mul_terms(rows[p - 1], {xj: 1})
             kernels.add_scaled(rows[p], extra)
     return MultiPoly._raw(e, rows[i])
-
-
-def div_exact(a, b):
-    """Exact quotient a / b in the polynomial ring; raises if not divisible."""
-    if b.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    a._check_compat(b)
-    lead_b = max(b.terms, key=_glex)
-    cb = b.terms[lead_b]
-    rem = dict(a.terms)
-    quo = {}
-    while rem:
-        lead = max(rem, key=_glex)
-        diff = tuple(x - y for x, y in zip(lead, lead_b))
-        if any(x < 0 for x in diff):
-            raise ArithmeticError("polynomials do not divide exactly")
-        c = canon(Fraction(rem[lead]) / Fraction(cb)) if cb != 1 else rem[lead]
-        quo[diff] = c
-        kernels.add_scaled(rem, kernels.mul_terms({diff: c}, b.terms), -1)
-    return MultiPoly._raw(a.nvars, quo)
-
-
-def poly_det(rows):
-    """Determinant of a square MultiPoly matrix by fraction-free elimination.
-
-    Bareiss one-step elimination with row pivoting; every division is exact
-    in the ring, keeping intermediate polynomials small and deterministic.
-    """
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty matrix")
-    nvars = rows[0][0].nvars
-    m = [list(r) for r in rows]
-    for r in m:
-        if len(r) != n:
-            raise ValueError("matrix is not square")
-    sign = 1
-    prev = MultiPoly.one(nvars)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(nvars)
-        pivot = m[k][k]
-        for r in range(k + 1, n):
-            for c in range(k + 1, n):
-                num = pivot * m[r][c] - m[r][k] * m[k][c]
-                m[r][c] = num if prev == 1 else div_exact(num, prev)
-            m[r][k] = MultiPoly.zero(nvars)
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return result if sign == 1 else -result

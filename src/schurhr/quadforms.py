@@ -147,28 +147,6 @@ def is_weak_hr(m):
     return t.n_plus <= 1 and (t.n_plus == 1 or t.n_zero >= 1)
 
 
-def rational_det(m):
-    """Exact determinant of a square rational matrix (Gaussian elimination)."""
-    rows = [[Fraction(x) for x in row] for row in _as_matrix(m)]
-    n = len(rows)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if rows[r][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for r in range(c + 1, n):
-            f = rows[r][c] * inv
-            if f:
-                for cc in range(c, n):
-                    rows[r][cc] -= f * rows[c][cc]
-    return canon(det)
-
-
 def congruence_transform(m, s):
     """S^T M S for testing that inertia is a congruence invariant."""
     a = _as_matrix(m)

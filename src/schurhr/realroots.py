@@ -22,31 +22,8 @@ def _derivative(p):
     return [p[i] * i for i in range(1, len(p))]
 
 
-def _rem(a, b):
-    """Remainder of a modulo b (b nonzero), over Fractions."""
-    a = [Fraction(x) for x in a]
-    lb = Fraction(b[-1])
-    while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        q = a[-1] / lb
-        off = len(a) - len(b)
-        for i in range(len(b) - 1):
-            a[off + i] -= q * b[i]
-        a.pop()
-    return _strip(a)
-
-
-def _gcd(a, b):
-    a, b = _strip(a), _strip(b)
-    while b:
-        a, b = b, _rem(a, b)
-    return a
-
-
-def _div_exact(a, b):
-    """Exact quotient a / b (remainder known to vanish)."""
+def _divmod(a, b):
+    """Quotient and remainder of a by b (b nonzero), over Fractions."""
     a = [Fraction(x) for x in a]
     lb = Fraction(b[-1])
     q = [Fraction(0)] * (len(a) - len(b) + 1)
@@ -60,7 +37,14 @@ def _div_exact(a, b):
         for i in range(len(b) - 1):
             a[off + i] -= c * b[i]
         a.pop()
-    return _strip(q)
+    return _strip(q), _strip(a)
+
+
+def _gcd(a, b):
+    a, b = _strip(a), _strip(b)
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a
 
 
 def squarefree_part(p):
@@ -70,7 +54,7 @@ def squarefree_part(p):
     g = _gcd(p, _derivative(p))
     if len(g) <= 1:
         return p
-    return _div_exact(p, g)
+    return _divmod(p, g)[0]
 
 
 def _variations(signs):
@@ -85,7 +69,7 @@ def count_distinct_real_roots(p):
         return 0
     chain = [p, _strip(_derivative(p))]
     while len(chain[-1]) > 1:
-        r = _rem(chain[-2], chain[-1])
+        r = _divmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append([-x for x in r])

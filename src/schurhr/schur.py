@@ -13,9 +13,10 @@ defines the derived polynomials s_lam^(i), homogeneous of degree |lam| - i.
 import threading
 from math import comb
 
+from . import kernels
 from .errors import PreconditionError
 from .partitions import Partition, dual_in_box, ssyt_weight_counts
-from .polyring import MultiPoly, elementary, poly_det
+from .polyring import MultiPoly, elementary
 
 _cache_lock = threading.Lock()
 _jt_cache = {}
@@ -43,9 +44,9 @@ def schur_jt(lam, e):
         result = MultiPoly.one(e)
     else:
         rows = [
-            [elementary(parts[r] - r + s, e) for s in range(n)] for r in range(n)
+            [elementary(parts[r] - r + s, e).terms for s in range(n)] for r in range(n)
         ]
-        result = poly_det(rows)
+        result = MultiPoly._raw(e, kernels.det_terms(rows, kernels.mul_terms))
     with _cache_lock:
         _jt_cache[key] = result
     return result

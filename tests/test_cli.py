@@ -1,10 +1,13 @@
-"""End-to-end command line checks (subprocess level)."""
+"""End-to-end command line checks (subprocess level, plus in-process exit codes)."""
 
 import json
 import subprocess
 import sys
 
 import pytest
+
+from schurhr import acceptance, cli
+from schurhr.errors import DegreeMismatchError
 
 CLI = [sys.executable, "-m", "schurhr"]
 
@@ -173,3 +176,17 @@ def test_verify_subset():
     payload = json.loads(r.stdout)
     assert payload["ok"] is True
     assert [c["id"] for c in payload["criteria"]] == [1, 2, 4]
+
+
+def test_verify_internal_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(seed, workers=1):
+        raise DegreeMismatchError("raised inside a criterion")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [(1, broken)])
+    assert cli.main(["verify", "--criteria", "1", "--workers", "1"]) == cli.CHECK_VIOLATION
+    assert "internal error: DegreeMismatchError" in capsys.readouterr().err
+
+
+def test_verify_malformed_criteria_is_a_usage_error(capsys):
+    assert cli.main(["verify", "--criteria", "1,x", "--workers", "1"]) == cli.USAGE_ERROR
+    assert "bad --criteria" in capsys.readouterr().err

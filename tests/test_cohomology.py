@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schurhr.cohomology import CohClass, Space, class_det
 from schurhr.errors import SpaceMismatchError
@@ -106,6 +107,34 @@ def test_class_det_matches_expansion_by_hand():
     assert class_det(rows) == a * a - b * b
     rows = [[a, CohClass.zero(X)], [b, b]]
     assert class_det(rows) == a * b
+    with pytest.raises(ValueError):
+        class_det([])
+    with pytest.raises(ValueError):
+        class_det([[a, b], [a]])
+
+
+# P^2 x P^1: a small ring with zero divisors (tau_1^3 = tau_2^2 = 0)
+_X21 = Space([2, 1])
+_classes = st.builds(
+    lambda d: CohClass(_X21, d),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                    st.integers(-3, 3), max_size=4),
+)
+
+
+def _square_pair(n):
+    mat = st.lists(st.lists(_classes, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.tuples(mat, mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(_square_pair))
+def test_class_det_is_multiplicative(pair):
+    a, b = pair
+    n = len(a)
+    ab = [[sum((a[i][k] * b[k][j] for k in range(n)), CohClass.zero(_X21))
+           for j in range(n)] for i in range(n)]
+    assert class_det(ab) == class_det(a) * class_det(b)
 
 
 def test_serialization_round_trip():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from schurhr.errors import DegreeMismatchError
 from schurhr.partitions import ssyt_count
-from schurhr.polyring import MultiPoly, div_exact, elementary, poly_det
+from schurhr import kernels
+from schurhr.polyring import MultiPoly, elementary
 from schurhr.schur import schur_jt
 
 
@@ -152,14 +153,6 @@ def test_euler_identity():
         assert total == d * p
 
 
-def test_div_exact():
-    a = (x(0) + x(1)) * (x(0) - x(1)) * P(2, {(1, 1): Fraction(2, 3)})
-    b = (x(0) + x(1)) * P(2, {(1, 1): Fraction(2, 3)})
-    assert div_exact(a, b) == x(0) - x(1)
-    with pytest.raises(ArithmeticError):
-        div_exact(x(0) + 1, x(1))
-
-
 def _det_cofactor(rows):
     n = len(rows)
     if n == 1:
@@ -172,7 +165,12 @@ def _det_cofactor(rows):
     return total
 
 
-def test_poly_det_matches_cofactor_expansion():
+def _det(rows):
+    terms = kernels.det_terms([[p.terms for p in r] for r in rows], kernels.mul_terms)
+    return MultiPoly(rows[0][0].nvars, terms)
+
+
+def test_det_terms_matches_cofactor_expansion():
     import random
 
     rng = random.Random(5)
@@ -191,7 +189,26 @@ def test_poly_det_matches_cofactor_expansion():
             ]
             for _ in range(n)
         ]
-        assert poly_det(rows) == _det_cofactor(rows)
+        assert _det(rows) == _det_cofactor(rows)
+
+
+def _matmul(a, b):
+    n = len(a)
+    zero = MultiPoly.zero(a[0][0].nvars)
+    return [[sum((a[i][k] * b[k][j] for k in range(n)), zero) for j in range(n)]
+            for i in range(n)]
+
+
+def _square_pair(n):
+    mat = st.lists(st.lists(small_polys, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.tuples(mat, mat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(_square_pair))
+def test_det_is_multiplicative(pair):
+    a, b = pair
+    assert _det(_matmul(a, b)) == _det(a) * _det(b)
 
 
 def test_str_rendering_in_graded_lex_order():

@@ -10,8 +10,7 @@ from schurhr.cohomology import CohClass, Space
 from schurhr.errors import DegreeMismatchError
 from schurhr.partitions import partitions_of
 from schurhr.quadforms import (InertiaTriple, congruence_transform, inertia,
-                               intersection_form, is_hr, is_weak_hr,
-                               rational_det)
+                               intersection_form, is_hr, is_weak_hr)
 
 
 def test_convex_mix_matrix():
@@ -107,7 +106,8 @@ def test_sylvester_congruence_invariance():
             for j in range(i, n):
                 m[i][j] = m[j][i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
         s = _random_invertible(rng, n)
-        assert rational_det(s) != 0
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert inertia(congruence_transform(identity, s)).n_plus == n  # S^T S > 0
         assert inertia(m) == inertia(congruence_transform(m, s))
 
 
