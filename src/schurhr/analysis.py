@@ -283,27 +283,6 @@ def _int_values(values):
     return [int(Fraction(v) * den) for v in values]
 
 
-def _int_det(rows):
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        if m[c][c] == 0:
-            for r in range(c + 1, n):
-                if m[r][c] != 0:
-                    m[c], m[r] = m[r], m[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(c + 1, n):
-            for cc in range(c + 1, n):
-                m[r][cc] = (m[c][c] * m[r][cc] - m[r][c] * m[c][cc]) // prev
-            m[r][c] = 0
-        prev = m[c][c]
-    return sign * m[-1][-1]
-
-
 def _base_window_minors_nonneg(mu):
     """Every minor of the square Toeplitz window (mu[i-j]), i,j < len(mu)."""
     L = len(mu)
@@ -358,6 +337,68 @@ def _virtual_h(mu, depth):
     return g
 
 
+def _laplace_tables(rows):
+    """Expansion tables for growing minors one row at a time.
+
+    ``tables[m][s]`` lists ``(column, sign, t)`` for the s-th (m+1)-subset of
+    the columns ``range(rows)`` (lexicographic, so s = 0 is the leading
+    subset): Laplace along row m pairs each of its columns with the m-subset
+    number t of the remaining ones.
+    """
+    combos = [list(itertools.combinations(range(rows), m)) for m in range(rows + 1)]
+    index = [{c: t for t, c in enumerate(cs)} for cs in combos]
+    return [
+        [[(c, -1 if (m + p) % 2 else 1, index[m][cols[:p] + cols[p + 1:]])
+          for p, c in enumerate(cols)]
+         for cols in combos[m + 1]]
+        for m in range(rows)
+    ]
+
+
+def _first_negative_shape(g, rows, width_cap):
+    """First shape, of 2..rows rows and width <= width_cap, whose dual
+    Jacobi-Trudi determinant det(g[lam_i - i + j]) is negative, or None.
+
+    Row i of that matrix depends only on (lam_i, i), so one depth-first walk
+    over lam_1 >= lam_2 >= ... >= 1 shares every prefix: at depth m it holds
+    the minors of the first m rows on every m-subset of the columns
+    ``range(rows)``, and one Laplace step along the next row extends them.  A
+    shape's determinant is the leading minor of its rows.  Shapes are visited
+    parent before children, widest part first.
+    """
+    tables = _laplace_tables(rows)
+    lam = []
+
+    def walk(m, prev, top):
+        last = m + 1 == rows
+        # deeper rows need every subset; the last only the leading one
+        tab = tables[m][:1] if last else tables[m]
+        for w in range(top, 0, -1):
+            off = w - m
+            r = [g[off + j] if off + j >= 0 else 0 for j in range(rows)]
+            cur = []
+            for terms in tab:
+                total = 0
+                for c, sign, t in terms:
+                    x = r[c]
+                    if x:
+                        y = prev[t]
+                        if y:
+                            total += x * y if sign > 0 else -x * y
+                cur.append(total)
+            lam.append(w)
+            if m and cur[0] < 0:
+                return tuple(lam)
+            if not last:
+                found = walk(m + 1, cur, w)
+                if found:
+                    return found
+            lam.pop()
+        return None
+
+    return walk(0, [1], width_cap)
+
+
 def _schur_family_nonneg(mu, width_cap, h_cap):
     """Nonnegativity of all virtual straight Schur evaluations of mu.
 
@@ -367,36 +408,30 @@ def _schur_family_nonneg(mu, width_cap, h_cap):
     nonnegativity.  Shapes have at most len(mu) - 1 rows; the width is the
     only truncated direction (negative minors of rational non-PF sequences
     always appear at modest width in practice, but width_cap is exposed).
+
+    Single-row shapes are the entries of g, checked h_cap deep.  The others
+    go through one prefix-sharing walk, ``_first_negative_shape``, which
+    reads a k-row shape's determinant as the leading k x k minor of the
+    walk's len(mu) - 1 columns.  That is also the determinant of the shape
+    padded with zero parts to len(mu) - 1 rows: a padded row i is g[j - i],
+    zero left of the diagonal and g[0] = 1 on it, so the trailing block is
+    unitriangular and the padded determinant equals the unpadded one.  So
+    every shape, padded or not, is one determinant, visited once.
     """
     L = len(mu)
     g = _virtual_h(mu, h_cap + L + 2)
     if any(x < 0 for x in g):
         return False  # single-row shapes, checked deep
-    maxrows = L - 1
-
-    def shapes(width, rows):
-        if rows == 0:
-            yield ()
-            return
-        for w in range(width, 0, -1):
-            for rest in shapes(w, rows - 1):
-                yield (w,) + rest
-        yield ()
-
-    for lam in shapes(width_cap, maxrows):
-        k = len(lam)
-        if k < 2:
-            continue  # rows 0 and 1 are covered by g itself
-        rows = [
-            [g[lam[i] - i + j] if lam[i] - i + j >= 0 else 0 for j in range(k)]
-            for i in range(k)
-        ]
-        if _int_det(rows) < 0:
-            return False
-    return True
+    return _first_negative_shape(g, L - 1, width_cap) is None
 
 
-def polya_check_minors(mus, width_cap=12, h_cap=60):
+# Bounds of the virtual-Schur search in polya_check_minors: the widest shape
+# and the depth to which the single-row entries are checked.
+POLYA_WIDTH_CAP = 12
+POLYA_H_CAP = 60
+
+
+def polya_check_minors(mus, width_cap=POLYA_WIDTH_CAP, h_cap=POLYA_H_CAP):
     """Total nonnegativity of the Toeplitz matrix of the sequence.
 
     Checks every minor of the literal square window, then the equivalent

@@ -334,13 +334,17 @@ def _cmd_polya(args, cfg):
     roots = analysis.polya_check_roots(mus)
     if len(mus) > 8:
         # the minor route is capped; beyond it only root counting runs
-        minors, agree = None, None
+        minors, agree, search = None, None, None
     else:
         minors = analysis.polya_check_minors(mus)
         agree = minors == roots
+        # the root route is exact; the minor route searches a bounded family
+        search = {"kind": "bounded", "width_cap": analysis.POLYA_WIDTH_CAP,
+                  "h_cap": analysis.POLYA_H_CAP}
     payload = {
         "mus": [fmt_q(v) for v in mus],
         "minors_nonneg": minors,
+        "minors_search": search,
         "real_rooted": roots,
         "routes_agree": agree,
     }

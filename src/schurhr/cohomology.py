@@ -274,10 +274,17 @@ def class_det(rows):
 
     The truncated ring has zero divisors, so elimination methods do not
     apply; the entries go through the division-free ``kernels.det_terms``.
+    Every entry must live on the same space.
     """
     if not rows:
         raise ValueError("empty matrix")
-    space = rows[0][0].space
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix is not square")
+    first = rows[0][0]
+    for r in rows:
+        for x in r:
+            first._check_space(x)
+    space = first.space
     caps = space.factors
     terms = kernels.det_terms([[x.terms for x in r] for r in rows],
                               lambda a, b: kernels.mul_terms_capped(a, b, caps))

@@ -103,10 +103,17 @@ def test_polya_subcommand():
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert payload["minors_nonneg"] and payload["real_rooted"]
+    assert payload["minors_search"] == {"kind": "bounded", "width_cap": 12, "h_cap": 60}
     r = run("polya", "--mus", "1,0,1")
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert payload["routes_agree"] and not payload["real_rooted"]
+    # past the length cap only the root route runs, and no search is reported
+    r = run("polya", "--mus", ",".join(["1"] * 9))
+    assert r.returncode == 0
+    payload = json.loads(r.stdout)
+    assert payload["minors_nonneg"] is None and payload["minors_search"] is None
+    assert payload["routes_agree"] is None and payload["real_rooted"] is False
 
 
 def test_hr_scan(config):

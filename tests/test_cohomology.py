@@ -111,6 +111,14 @@ def test_class_det_matches_expansion_by_hand():
         class_det([])
     with pytest.raises(ValueError):
         class_det([[a, b], [a]])
+    with pytest.raises(ValueError, match="not square"):
+        class_det([[]])
+    # entries on different spaces are an error, not a truncation to the first
+    p1, p3 = Space([1]).h11_basis()[0], Space([3]).h11_basis()[0]
+    with pytest.raises(SpaceMismatchError):
+        class_det([[p1, p3], [p3, p1]])
+    with pytest.raises(SpaceMismatchError):
+        class_det([[a, b], [b, p1]])
 
 
 # P^2 x P^1: a small ring with zero divisors (tau_1^3 = tau_2^2 = 0)

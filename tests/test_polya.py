@@ -5,10 +5,12 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from schurhr.analysis import (PolyaSequence, p2p3_convex_example,
-                              polya_check_minors, polya_check_roots,
-                              polya_combination_class)
+from schurhr import kernels
+from schurhr.analysis import (PolyaSequence, _first_negative_shape,
+                              p2p3_convex_example, polya_check_minors,
+                              polya_check_roots, polya_combination_class)
 from schurhr.bundles import SplitBundle, schur_class
 from schurhr.cohomology import CohClass, Space
 from schurhr.errors import PreconditionError
@@ -55,6 +57,52 @@ def test_sturm_machinery():
     assert has_only_real_roots([Fraction(1, 2), Fraction(3, 2), 1])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=5, max_denominator=6),
+                min_size=1, max_size=5))
+def test_sturm_counts_products_of_linear_factors(roots):
+    # prod (z + r_i), low degree first: its real roots are exactly the -r_i
+    poly = [Fraction(1)]
+    for r in roots:
+        poly = [a * r + b for a, b in zip(poly + [0], [0] + poly)]
+    assert count_distinct_real_roots(poly) == len(set(roots))
+    assert has_only_real_roots(poly)
+
+
+def _shapes(width, rows, prefix=()):
+    # shapes of 1..rows parts <= width; parent before children, widest first
+    for w in range(prefix[-1] if prefix else width, 0, -1):
+        lam = prefix + (w,)
+        yield lam
+        if len(lam) < rows:
+            yield from _shapes(width, rows, lam)
+
+
+def _jt_det(g, lam):
+    # det(g[lam_i - i + j]) over constant term dicts, one shape at a time
+    k = len(lam)
+    idx = [[lam[i] - i + j for j in range(k)] for i in range(k)]
+    rows = [[{(): g[t]} if t >= 0 and g[t] else {} for t in r] for r in idx]
+    return kernels.det_terms(rows, kernels.mul_terms).get((), 0)
+
+
+def test_minor_walk_finds_the_first_negative_shape():
+    # signed g, so negative determinants turn up at every depth; the walk
+    # shares prefix minors and must agree with one determinant per shape
+    rng = random.Random(73)
+    depths = set()
+    for _ in range(300):
+        rows, width = rng.randint(1, 5), rng.randint(1, 5)
+        lo = rng.choice((-4, -1, 0))
+        g = [1] + [rng.randint(lo, 6) for _ in range(width + rows)]
+        want = next((lam for lam in _shapes(width, rows)
+                     if len(lam) >= 2 and _jt_det(g, lam) < 0), None)
+        got = _first_negative_shape(g, rows, width)
+        assert got == want, (g, rows, width)
+        depths.add(len(got) if got else None)
+    assert depths == {None, 2, 3, 4, 5}
+
+
 def test_routes_agree_on_log_concave_traps():
     # these pass every small-window minor yet have complex roots; the
     # deepened matrix route must still reject them
@@ -91,7 +139,7 @@ def test_products_of_linear_factors_pass_both_routes():
 
 
 def test_binomial_rows_are_frequency_sequences():
-    for n in range(1, 7):
+    for n in range(1, 8):  # n = 7 is the longest row the minor route takes
         row = [comb(n, k) for k in range(n + 1)]
         assert polya_check_minors(row)
         assert polya_check_roots(row)
