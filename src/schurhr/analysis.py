@@ -568,8 +568,9 @@ def _strict_report(p, mode, epsilon):
     if d < 2:
         raise PreconditionError("need a homogeneous polynomial of degree >= 2")
     e = p.nvars
+    # a degree-d monomial that is not stored has coefficient zero
     bad_coeffs = tuple(
-        sorted(mu for mu, c in p.terms.items() if c <= 0)
+        sorted(mu for mu in _compositions(d, e) if p.terms.get(mu, 0) <= 0)
     )
     bad_h = []
     for alpha in _compositions(d - 2, e):
@@ -585,32 +586,58 @@ def _strict_report(p, mode, epsilon):
     )
 
 
+def _epsilon_shift(q, epsilon, box):
+    """q(x + epsilon * (x_1 + ... + x_e)) without its terms outside [0, box]^e.
+
+    With epsilon = a/b, q homogeneous of degree D and c the lcm of the
+    denominators of q's coefficients,
+
+        c * b^D * q(x + epsilon * sum(x)) = (c * q)(b * x + a * sum(x)),
+
+    so the substitution runs on integers only, and each coefficient that
+    survives the truncation is divided by c * b^D once.
+    """
+    a, b = epsilon.numerator, epsilon.denominator
+    e = q.nvars
+    c = lcm(*(v.denominator for v in q.terms.values()))
+    total = MultiPoly.zero(e)
+    for j in range(e):
+        total = total + MultiPoly.variable(j, e)
+    repl = [b * MultiPoly.variable(j, e) + a * total for j in range(e)]
+    shifted = q.scale(c).substitute(repl).truncate_box(box)
+    scale = c * b ** q.homogeneous_degree()
+    return MultiPoly(e, {mu: Fraction(v, scale) for mu, v in shifted.terms.items()})
+
+
 def lorentzian_witness(p, epsilon):
     """Strictly-Lorentzian candidate converging to p as epsilon -> 0.
 
     Un-normalize, mirror in the box of side max(vars, degree), shift every
     variable by epsilon times the variable sum, re-truncate to the box (the
     shift piles exponents above it; those coefficients never enter the
-    quadratic slices), mirror back and normalize.
+    quadratic slices), mirror back and normalize.  The shift runs over the
+    integers: for epsilon = a/b, the mirror q of degree D and c the lcm of
+    its coefficient denominators, c * b^D * q(x + epsilon * sum(x)) equals
+    (c * q)(b * x + a * sum(x)), and c * b^D is divided out once per kept
+    term.
     """
     epsilon = parse_q(epsilon)
     d = p.homogeneous_degree()
     if d < 2:
         raise PreconditionError("need a homogeneous polynomial of degree >= 2")
-    e = p.nvars
-    box = max(e, d)
+    box = max(p.nvars, d)
     q = p.denormalize().box_reverse(box)
-    total = MultiPoly.zero(e)
-    for j in range(e):
-        total = total + MultiPoly.variable(j, e)
-    repl = [MultiPoly.variable(j, e) + epsilon * total for j in range(e)]
-    q_eps = q.substitute(repl)
-    p_eps = q_eps.truncate_box(box).box_reverse(box)
-    return p_eps.normalize()
+    return _epsilon_shift(q, epsilon, box).box_reverse(box).normalize()
 
 
 def lorentzian_check(p, mode="strict", epsilon=Fraction(1, 100)):
-    """Strict test of p itself, or of the epsilon-perturbed witness."""
+    """Strict test of p itself, or of the epsilon-perturbed witness.
+
+    Strictly Lorentzian follows Branden-Huh, *Lorentzian polynomials*
+    (arXiv:1902.03719): every coefficient of degree d is positive, a missing
+    monomial counting as a zero coefficient, and every Hessian of a
+    (d-2)-th partial has exactly one positive and no zero eigenvalue.
+    """
     if mode == "strict":
         return _strict_report(p, "strict", None)
     if mode == "perturbed":
@@ -664,7 +691,10 @@ def hessian_vs_intersection(lam, e, N, alpha, epsilon):
     the rank-e sum of the factor hyperplane bundles twisted by epsilon times
     the total hyperplane class, and compares the intersection form of the
     box-dual Schur class against the Hessian of the corresponding
-    alpha-partial of the normalized perturbed mirror polynomial.
+    alpha-partial of the normalized perturbed mirror polynomial.  The
+    perturbation is the integer epsilon-shift of ``lorentzian_witness``:
+    for epsilon = a/b and s of degree D with integer coefficients,
+    b^D * s(x + epsilon * sum(x)) = s(b * x + a * sum(x)).
     """
     lam = Partition(lam)
     e, N = int(e), int(N)
@@ -683,13 +713,7 @@ def hessian_vs_intersection(lam, e, N, alpha, epsilon):
         raise PreconditionError("every N - alpha_j must be at least 1")
 
     bar = dual_in_box(lam, e, N)
-    q = schur_jt(bar, e)
-    total = MultiPoly.zero(e)
-    for j in range(e):
-        total = total + MultiPoly.variable(j, e)
-    repl = [MultiPoly.variable(j, e) + epsilon * total for j in range(e)]
-    q_eps = q.substitute(repl)
-    p_eps = q_eps.truncate_box(N).box_reverse(N)
+    p_eps = _epsilon_shift(schur_jt(bar, e), epsilon, N).box_reverse(N)
     hess = p_eps.normalize().hessian_of_partial(alpha)
 
     space = Space(beta)

@@ -150,11 +150,6 @@ class CohClass:
             raise ValueError(f"class is not homogeneous: degrees {sorted(degs)}")
         return degs.pop()
 
-    def degree_part(self, p):
-        return CohClass._raw(
-            self.space, {e: c for e, c in self.terms.items() if sum(e) == p}
-        )
-
     def integrate(self):
         """Coefficient of the top monomial (zero on everything else)."""
         return self.terms.get(self.space.factors, 0)

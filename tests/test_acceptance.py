@@ -16,7 +16,7 @@ from schurhr import acceptance
 
 SEED = int(os.environ.get("SCHURHR_SEED", acceptance.DEFAULT_SEED))
 
-BUDGETS = {1: 1.0, 2: 5.0, 3: 60.0, 10: 20.0, 11: 300.0}
+BUDGETS = {1: 1.0, 2: 5.0, 3: 60.0, 10: 20.0, 11: 30.0}
 
 _FN = dict(acceptance.CRITERIA)
 

@@ -1,9 +1,11 @@
 """Lorentzian certification and the coefficient-extraction identities."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schurhr.analysis import (hessian_vs_intersection, lemma_bridge_check,
                               lorentzian_check, lorentzian_witness)
@@ -13,10 +15,35 @@ from schurhr.polyring import MultiPoly
 from schurhr.schur import schur_jt
 
 
+def _oracle_witness(p, eps):
+    """The rational route: substitute x_j + eps * sum(x) with Fraction
+    coefficients, truncate to the box, mirror back and normalize."""
+    e = p.nvars
+    box = max(e, p.homogeneous_degree())
+    q = p.denormalize().box_reverse(box)
+    s = sum((MultiPoly.variable(j, e) for j in range(e)), MultiPoly.zero(e))
+    q_eps = q.substitute([MultiPoly.variable(j, e) + eps * s for j in range(e)])
+    return q_eps.truncate_box(box).box_reverse(box).normalize()
+
+
+@st.composite
+def signed_homogeneous(draw):
+    e = draw(st.integers(1, 3))
+    d = draw(st.integers(2, 5))
+    monos = [m for m in itertools.product(range(d + 1), repeat=e) if sum(m) == d]
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    terms = draw(st.dictionaries(st.sampled_from(monos), coeffs, min_size=1, max_size=6))
+    p = MultiPoly(e, terms)
+    return p if not p.is_zero else MultiPoly.variable(0, e) ** d
+
+
 def test_strict_examples():
     xy = MultiPoly(2, {(1, 1): 1})
     rep = lorentzian_check(xy, "strict")
-    assert rep.ok
+    # x1^2 and x2^2 are missing, so their coefficients are zero
+    assert not rep.ok
+    assert rep.nonpositive_coefficients == ((0, 2), (2, 0))
+    assert not rep.bad_hessians
     sq = MultiPoly(2, {(2, 0): 1, (0, 2): 1})
     rep = lorentzian_check(sq, "strict")
     assert not rep.ok
@@ -24,6 +51,9 @@ def test_strict_examples():
     assert rep.bad_hessians and rep.bad_hessians[0][1].n_plus == 2
     # a negative coefficient is also rejected outright
     neg = MultiPoly(2, {(1, 1): -1})
+    assert lorentzian_check(neg, "strict").nonpositive_coefficients == (
+        (0, 2), (1, 1), (2, 0))
+    neg = MultiPoly(2, {(2, 0): 1, (1, 1): -1, (0, 2): 1})
     assert lorentzian_check(neg, "strict").nonpositive_coefficients == ((1, 1),)
 
 
@@ -47,6 +77,50 @@ def test_witness_converges_to_the_input():
     w = lorentzian_witness(p, Fraction(1, 100))
     assert w != p
     assert w.homogeneous_degree() == p.homogeneous_degree()
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_homogeneous(),
+       st.one_of(st.just(Fraction(0)),
+                 st.builds(Fraction, st.integers(0, 1000), st.integers(1, 1000))))
+def test_witness_matches_the_rational_route(p, eps):
+    oracle = _oracle_witness(p, eps)
+    assert lorentzian_witness(p, eps) == oracle
+    rep = lorentzian_check(p, "perturbed", eps)
+    want = lorentzian_check(oracle, "strict")
+    assert (rep.ok, rep.nonpositive_coefficients, rep.bad_hessians) == (
+        want.ok, want.nonpositive_coefficients, want.bad_hessians)
+
+
+@pytest.mark.parametrize("p, bad", [
+    (MultiPoly(2, {(2, 0): 1, (1, 1): -1, (0, 2): 1}), ((1, 1),)),
+    (MultiPoly(3, {(2, 0, 0): 1, (0, 1, 1): Fraction(-1, 3), (0, 0, 2): 2}),
+     ((0, 1, 1), (0, 2, 0))),
+])
+def test_failing_witness_matches_the_rational_route(p, bad):
+    eps = Fraction(1, 100)
+    rep = lorentzian_check(p, "perturbed", eps)
+    want = lorentzian_check(_oracle_witness(p, eps), "strict")
+    assert not rep.ok
+    assert rep.nonpositive_coefficients == want.nonpositive_coefficients == bad
+    assert rep.bad_hessians == want.bad_hessians
+
+
+def test_epsilon_shift_substitutes_integers_only(monkeypatch):
+    seen = []
+    original = MultiPoly.substitute
+
+    def spy(self, replacements):
+        replacements = list(replacements)
+        seen.extend(c for poly in (self, *replacements) for c in poly.terms.values())
+        return original(self, replacements)
+
+    p = MultiPoly(2, {(2, 0): Fraction(1, 3), (1, 1): Fraction(-1, 2), (0, 2): 1})
+    want = _oracle_witness(p, Fraction(7, 997))
+    monkeypatch.setattr(MultiPoly, "substitute", spy)
+    assert lorentzian_witness(p, Fraction(7, 997)) == want
+    assert hessian_vs_intersection((2, 1), 2, 3, (1, 0), Fraction(7, 997))
+    assert seen and all(type(c) is int for c in seen)
 
 
 def test_perturbed_certification_across_shapes():
@@ -103,6 +177,10 @@ def test_hessian_vs_intersection_bigger_cases():
     assert hessian_vs_intersection((2, 1), 2, 3, (1, 0), Fraction(1, 7))
     assert hessian_vs_intersection((2, 2), 3, 3, (1, 1, 0), Fraction(2, 5))
     assert hessian_vs_intersection((3, 2), 3, 4, (1, 1, 1), Fraction(1, 100))
+    # large denominators: b^D in the integer shift is far from 1
+    assert hessian_vs_intersection((2, 1), 2, 3, (1, 0), Fraction(7, 997))
+    assert hessian_vs_intersection((2, 2), 3, 3, (1, 1, 0), Fraction(7, 997))
+    assert hessian_vs_intersection((3, 2), 3, 4, (1, 1, 1), Fraction(996, 997))
 
 
 def test_hessian_vs_intersection_preconditions():
