@@ -75,13 +75,6 @@ class SplitBundle:
     def is_nef(self):
         return all(all(c >= 0 for c in v) for v in self.root_vectors())
 
-    def direct_sum(self, other):
-        if self.space != other.space:
-            raise SpaceMismatchError("bundles live on different spaces")
-        if self.twist != other.twist:
-            raise ValueError("direct sums are only formed at equal twists")
-        return SplitBundle(self.space, self.lines + other.lines, self.twist)
-
     def __eq__(self, other):
         return (
             isinstance(other, SplitBundle)

@@ -54,14 +54,31 @@ def _partition(s):
         raise CliError(f"bad partition {s!r}: {exc}")
 
 
-def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text, args):
+    """Write a report to the --output file, or to stdout without one."""
     out = getattr(args, "output", None)
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, args):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
+
+
+def _emit_sequence(seq, args):
+    """Report a sequence and its log-concavity as --format csv or JSON."""
+    ok = analysis.is_log_concave(seq)
+    if args.format == "csv":
+        lines = ["i,value"] + [
+            f"{seq.start + k},{fmt_q(v)}" for k, v in enumerate(seq.values)
+        ]
+        _write("\n".join(lines) + "\n", args)
+    else:
+        _emit({"sequence": seq.to_json(), "log_concave": ok}, args)
+    return 0 if ok else CHECK_VIOLATION
 
 
 def _load_config(path):
@@ -279,31 +296,16 @@ def _cmd_hr_scan(args, cfg):
 
 def _cmd_kt(args, cfg):
     _apply_output_defaults(args, cfg)
-    args.format = args.format or "json"
     E = _resolve_bundle(args, cfg)
     F = _resolve_bundle(args, cfg, flag="bundle2")
     lam = _resolve_partition(args, cfg, "lam")
     mu = _resolve_partition(args, cfg, "mu")
     seq = analysis.kt_sequence(E, F, lam, mu)
-    ok = analysis.is_log_concave(seq)
-    if args.format == "csv":
-        lines = ["i,value"] + [
-            f"{seq.start + k},{fmt_q(v)}" for k, v in enumerate(seq.values)
-        ]
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit({"sequence": seq.to_json(), "log_concave": ok}, args)
-    return 0 if ok else CHECK_VIOLATION
+    return _emit_sequence(seq, args)
 
 
 def _cmd_seq(args, cfg):
     _apply_output_defaults(args, cfg)
-    args.format = args.format or "json"
     lam = _resolve_partition(args, cfg, "lam")
     x = _rats(args.point)
     if args.mu is not None:
@@ -313,20 +315,7 @@ def _cmd_seq(args, cfg):
         seq = analysis.pair_value_sequence(lam, mu, args.d, x, _rats(args.point2))
     else:
         seq = analysis.derived_value_sequence(lam, x)
-    ok = analysis.is_log_concave(seq)
-    if args.format == "csv":
-        lines = ["i,value"] + [
-            f"{seq.start + k},{fmt_q(v)}" for k, v in enumerate(seq.values)
-        ]
-        text = "\n".join(lines) + "\n"
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-    else:
-        _emit({"sequence": seq.to_json(), "log_concave": ok}, args)
-    return 0 if ok else CHECK_VIOLATION
+    return _emit_sequence(seq, args)
 
 
 def _cmd_polya(args, cfg):
@@ -404,6 +393,7 @@ def _cmd_bridge(args, cfg):
 
 
 def _cmd_verify(args, cfg):
+    _apply_output_defaults(args, cfg)
     # precedence: explicit flag, then environment, then config, then default
     seed = args.seed
     if seed is None and os.environ.get("SCHURHR_SEED"):
@@ -431,14 +421,7 @@ def _cmd_verify(args, cfg):
         traceback.print_exc()
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return CHECK_VIOLATION
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.output is None and cfg and (cfg.get("output") or {}).get("path"):
-        args.output = cfg["output"]["path"]
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", args)
     return 0 if report["ok"] else CHECK_VIOLATION
 
 

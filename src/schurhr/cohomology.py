@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import kernels
 from .errors import SpaceMismatchError
-from .rationals import canon, fmt_q, parse_q
+from .rationals import canon, fmt_terms, parse_q, terms_to_json
 
 
 class Space:
@@ -233,31 +233,13 @@ class CohClass:
         return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"t{j + 1}^{x}" if x > 1 else f"t{j + 1}"
-                for j, x in enumerate(e)
-                if x
-            )
-            neg = c < 0
-            c = -c if neg else c
-            body = fmt_q(c) if not mono else (mono if c == 1 else f"{fmt_q(c)}*{mono}")
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(chunks)
+        return fmt_terms(self.sorted_terms(), "t")
 
     def __repr__(self):
         return f"CohClass({self.space!r}, {self})"
 
     def to_json(self):
-        return [
-            {"exponents": list(e), "coeff": fmt_q(c)} for e, c in self.sorted_terms()
-        ]
+        return terms_to_json(self.sorted_terms())
 
     @classmethod
     def from_json(cls, data, space):

@@ -10,7 +10,7 @@ from math import factorial
 
 from . import kernels
 from .errors import DegreeMismatchError
-from .rationals import canon, fmt_q, parse_q
+from .rationals import canon, fmt_terms, parse_q, terms_to_json
 
 
 def _glex(exps):
@@ -92,10 +92,6 @@ class MultiPoly:
         if len(exps) != self.nvars:
             raise ValueError(f"exponent {exps} does not have length {self.nvars}")
         return self.terms.get(exps, 0)
-
-    def total_degree(self):
-        """Largest exponent sum, or -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     def homogeneous_degree(self):
         """Common degree of all terms; raises if not homogeneous.
@@ -375,36 +371,13 @@ class MultiPoly:
     # -- presentation ------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                f"x{j + 1}^{x}" if x > 1 else f"x{j + 1}"
-                for j, x in enumerate(e)
-                if x
-            )
-            neg = c < 0
-            c = -c if neg else c
-            if not mono:
-                body = fmt_q(c)
-            elif c == 1:
-                body = mono
-            else:
-                body = f"{fmt_q(c)}*{mono}"
-            if not chunks:
-                chunks.append(f"-{body}" if neg else body)
-            else:
-                chunks.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(chunks)
+        return fmt_terms(self.sorted_terms(), "x")
 
     def __repr__(self):
         return f"MultiPoly({self.nvars}, {self})"
 
     def to_json(self):
-        return [
-            {"exponents": list(e), "coeff": fmt_q(c)} for e, c in self.sorted_terms()
-        ]
+        return terms_to_json(self.sorted_terms())
 
     @classmethod
     def from_json(cls, data, nvars):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeMismatchError, SpaceMismatchError
-from .rationals import canon, fmt_q, parse_q
+from .rationals import fmt_q, parse_q
 
 
 @dataclass(frozen=True)
@@ -145,19 +145,6 @@ def is_weak_hr(m):
     """At most one positive eigenvalue and not negative definite."""
     t = inertia(m)
     return t.n_plus <= 1 and (t.n_plus == 1 or t.n_zero >= 1)
-
-
-def congruence_transform(m, s):
-    """S^T M S for testing that inertia is a congruence invariant."""
-    a = _as_matrix(m)
-    st = _as_matrix(s)
-    n = len(a)
-    ms = [[sum(a[i][k] * st[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    out = [
-        [canon(sum(st[k][i] * ms[k][j] for k in range(n))) for j in range(n)]
-        for i in range(n)
-    ]
-    return tuple(tuple(row) for row in out)
 
 
 def matrix_to_json(m):

@@ -35,3 +35,36 @@ def fmt_q(c):
     if type(c) is int:
         return str(c)
     return str(Fraction(c))
+
+
+def fmt_terms(terms, var):
+    """Render ordered (exponents, coeff) pairs as "2*x1^2 - x1*x2 + 3".
+
+    Variable j (from 1) is written var + j; the empty sum is "0".  The
+    caller chooses the term order.
+    """
+    chunks = []
+    for e, c in terms:
+        mono = "*".join(
+            f"{var}{j + 1}^{x}" if x > 1 else f"{var}{j + 1}"
+            for j, x in enumerate(e)
+            if x
+        )
+        neg = c < 0
+        c = -c if neg else c
+        if not mono:
+            body = fmt_q(c)
+        elif c == 1:
+            body = mono
+        else:
+            body = f"{fmt_q(c)}*{mono}"
+        if chunks:
+            chunks.append(f"- {body}" if neg else f"+ {body}")
+        else:
+            chunks.append(f"-{body}" if neg else body)
+    return " ".join(chunks) or "0"
+
+
+def terms_to_json(terms):
+    """JSON list of ordered (exponents, coeff) pairs, coefficients as strings."""
+    return [{"exponents": list(e), "coeff": fmt_q(c)} for e, c in terms]

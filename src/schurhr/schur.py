@@ -17,6 +17,7 @@ from . import kernels
 from .errors import PreconditionError
 from .partitions import Partition, dual_in_box, ssyt_weight_counts
 from .polyring import MultiPoly, elementary
+from .rationals import fmt_terms
 
 _cache_lock = threading.Lock()
 _jt_cache = {}
@@ -195,28 +196,7 @@ def to_elementary_basis(p):
 
 def format_elementary(basis_terms):
     """Human-readable rendering of a to_elementary_basis result."""
-    from .rationals import fmt_q
+    def weighted(kv):
+        return (sum((i + 1) * x for i, x in enumerate(kv[0])), kv[0])
 
-    if not basis_terms:
-        return "0"
-    chunks = []
-    for key in sorted(basis_terms, key=lambda k: (sum((i + 1) * x for i, x in enumerate(k)), k), reverse=True):
-        c = basis_terms[key]
-        mono = "*".join(
-            f"c{i + 1}^{x}" if x > 1 else f"c{i + 1}"
-            for i, x in enumerate(key)
-            if x
-        )
-        neg = c < 0
-        c = -c if neg else c
-        if not mono:
-            body = fmt_q(c)
-        elif c == 1:
-            body = mono
-        else:
-            body = f"{fmt_q(c)}*{mono}"
-        if not chunks:
-            chunks.append(f"-{body}" if neg else body)
-        else:
-            chunks.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(chunks)
+    return fmt_terms(sorted(basis_terms.items(), key=weighted, reverse=True), "c")

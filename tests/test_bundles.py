@@ -67,7 +67,7 @@ def test_whitney_formula_on_split_sums():
         twist = (Fraction(rng.randint(0, 2), 2), Fraction(rng.randint(0, 2), 3))
         E = SplitBundle(X, [(1, 0), (0, 1)], twist)
         F = SplitBundle(X, [(rng.randint(0, 2), rng.randint(0, 2))], twist)
-        EF = E.direct_sum(F)
+        EF = SplitBundle(X, E.lines + F.lines, twist)
         ce, cf, cef = chern_all(E), chern_all(F), chern_all(EF)
         total_e = sum(ce[1:], ce[0])
         total_f = sum(cf[1:], cf[0])

@@ -88,14 +88,22 @@ def test_kt_subcommand_json_and_csv(tmp_path):
     assert payload["log_concave"] is True
     r = run(*args, "--format", "csv")
     assert r.returncode == 0
-    assert r.stdout.splitlines() == ["i,value", "0,9", "1,36", "2,9"]
+    assert r.stdout == "i,value\n0,9\n1,36\n2,9\n"
+    out = tmp_path / "kt.csv"
+    r = run(*args, "--format", "csv", "--output", str(out))
+    assert r.returncode == 0 and r.stdout == ""
+    assert out.read_text() == "i,value\n0,9\n1,36\n2,9\n"
 
 
-def test_seq_subcommand():
+def test_seq_subcommand(tmp_path):
     r = run("seq", "--lambda", "1,1", "--point", "1,1")
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert payload["sequence"]["values"] == ["3", "6", "3"]
+    out = tmp_path / "seq.csv"
+    r = run("seq", "--lambda", "1,1", "--point", "1,1", "--format", "csv", "--output", str(out))
+    assert r.returncode == 0 and r.stdout == ""
+    assert out.read_text() == "i,value\n0,3\n1,6\n2,3\n"
 
 
 def test_polya_subcommand():
@@ -197,3 +205,21 @@ def test_verify_internal_error_is_not_a_usage_error(monkeypatch, capsys):
 def test_verify_malformed_criteria_is_a_usage_error(capsys):
     assert cli.main(["verify", "--criteria", "1,x", "--workers", "1"]) == cli.USAGE_ERROR
     assert "bad --criteria" in capsys.readouterr().err
+
+
+def test_config_output_block_is_a_default(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"output": {"path": str(out), "format": "csv"}}))
+    assert cli.main(["seq", "--config", str(cfg), "--lambda", "1,1", "--point", "1,1"]) == 0
+    assert out.read_text() == "i,value\n0,3\n1,6\n2,3\n"
+    # flags win over the config
+    flagged = tmp_path / "flagged.json"
+    assert cli.main(["seq", "--config", str(cfg), "--lambda", "1,1", "--point", "1,1",
+                     "--format", "json", "--output", str(flagged)]) == 0
+    assert json.loads(flagged.read_text())["sequence"]["values"] == ["3", "6", "3"]
+    # verify takes the path, and writes compact JSON
+    assert cli.main(["verify", "--config", str(cfg), "--criteria", "1", "--workers", "1"]) == 0
+    text = out.read_text()
+    assert text.startswith('{"criteria":[') and text.endswith("}\n") and "\n" not in text[:-1]
+    assert capsys.readouterr().out == ""

@@ -10,6 +10,7 @@ from schurhr.errors import DegreeMismatchError
 from schurhr.partitions import ssyt_count
 from schurhr import kernels
 from schurhr.polyring import MultiPoly, elementary
+from schurhr.rationals import fmt_terms, terms_to_json
 from schurhr.schur import schur_jt
 
 
@@ -215,6 +216,16 @@ def test_str_rendering_in_graded_lex_order():
     assert str(schur_jt((1, 1), 2)) == "x1^2 + x1*x2 + x2^2"
     assert str(MultiPoly.zero(2)) == "0"
     assert str(P(2, {(1, 0): -1, (0, 0): Fraction(1, 2)})) == "-x1 + 1/2"
+
+
+def test_term_printer_keeps_the_given_order():
+    terms = [((2, 0), Fraction(-3, 2)), ((1, 1), 1), ((0, 1), -1), ((0, 0), 7)]
+    assert fmt_terms(terms, "t") == "-3/2*t1^2 + t1*t2 - t2 + 7"
+    assert fmt_terms(terms[::-1], "c") == "7 - c2 + c1*c2 - 3/2*c1^2"
+    assert fmt_terms([((0,), -1)], "x") == "-1"
+    assert fmt_terms([], "x") == "0"
+    assert terms_to_json(terms[:2]) == [{"exponents": [2, 0], "coeff": "-3/2"},
+                                        {"exponents": [1, 1], "coeff": "1"}]
 
 
 def test_json_round_trip():
