@@ -68,8 +68,34 @@ def _rand_h11(rng, space, nonneg=False, lo=-2, hi=2):
     return CohClass.linear(space, coeffs)
 
 
-def _run_sharded(fn, n, seed, label, workers):
-    args = [(seed, label, i) for i in range(n)]
+def _rand_split(rng, total, parts):
+    """A random ordered split of total into parts nonnegative ints."""
+    out = []
+    for _ in range(parts - 1):
+        out.append(rng.randint(0, total))
+        total -= out[-1]
+    out.append(total)
+    return out
+
+
+def _rand_root_product(rng, k, hi):
+    """Coefficients, constant term first, of (x + t_1) ... (x + t_k) for
+    random fractions 0 <= t_i <= hi; a Polya frequency sequence."""
+    coeffs = [Fraction(1)]
+    for _ in range(k):
+        t = _rand_fraction(rng, 0, hi)
+        nxt = [Fraction(0)] * (len(coeffs) + 1)
+        for j, a in enumerate(coeffs):
+            nxt[j] += a * t
+            nxt[j + 1] += a
+        coeffs = nxt
+    return coeffs
+
+
+def _run_sharded(fn, n, seed, workers):
+    """[fn((seed, i)) for i in range(n)], flattened, on up to ``workers``
+    processes; the order does not depend on the worker count."""
+    args = [(seed, i) for i in range(n)]
     if workers <= 1:
         results = [fn(a) for a in args]
     else:
@@ -129,7 +155,7 @@ def crit_low_degree_table(seed, workers=1):
 # -- criterion 3: determinant route equals tableau route ---------------------
 
 def _crit3_one(args):
-    seed, label, i = args
+    seed, i = args
     lam, e = _CRIT3_CASES[i]
     if schur.schur_jt(lam, e) != schur.schur_ssyt(lam, e):
         return [f"mismatch at lam={list(lam.parts)}, e={e}"]
@@ -142,7 +168,7 @@ _CRIT3_CASES = [
 
 
 def crit_jt_equals_ssyt(seed, workers=1):
-    failures = _run_sharded(_crit3_one, len(_CRIT3_CASES), seed, "jt", workers)
+    failures = _run_sharded(_crit3_one, len(_CRIT3_CASES), seed, workers)
     return _record(3, "determinant-vs-tableaux", len(_CRIT3_CASES), failures)
 
 
@@ -164,7 +190,7 @@ def crit_dual_reversal(seed, workers=1):
 # -- criterion 5: twist rule vs root expansion -------------------------------
 
 def _crit5_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"twist:{i}")
     space = _rand_space(rng)
     rank = rng.randint(1, 4)
@@ -188,14 +214,14 @@ def _crit5_one(args):
 
 def crit_twist_rule(seed, workers=1):
     n = 200
-    failures = _run_sharded(_crit5_one, n, seed, "twist", workers)
+    failures = _run_sharded(_crit5_one, n, seed, workers)
     return _record(5, "twist-rule-vs-roots", n, failures)
 
 
 # -- criterion 6: positivity of the characteristic numbers -------------------
 
 def _crit6_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"fl:{i}")
     space = _rand_space(rng)
     d = space.dim
@@ -212,17 +238,11 @@ def _crit6_one(args):
 
 
 def _crit6m_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"flm:{i}")
     space = _rand_space(rng, dmin=2, dmax=6)
     d = space.dim
-    p = rng.randint(1, 3)
-    degs = []
-    rem = d
-    for j in range(p - 1):
-        degs.append(rng.randint(0, rem))
-        rem -= degs[-1]
-    degs.append(rem)
+    degs = _rand_split(rng, d, rng.randint(1, 3))
     bundles, lams, orders = [], [], []
     for deg in degs:
         e = rng.randint(1, 3)
@@ -237,15 +257,15 @@ def _crit6m_one(args):
 
 
 def crit_fl_positivity(seed, workers=1):
-    f1 = _run_sharded(_crit6_one, 500, seed, "fl", workers)
-    f2 = _run_sharded(_crit6m_one, 200, seed, "flm", workers)
+    f1 = _run_sharded(_crit6_one, 500, seed, workers)
+    f2 = _run_sharded(_crit6m_one, 200, seed, workers)
     return _record(6, "characteristic-number-positivity", 700, f1 + f2)
 
 
 # -- criterion 7: one positive eigenvalue under ample twists -----------------
 
 def _crit7_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"hr:{i}")
     space = _rand_space(rng)
     d = space.dim
@@ -270,17 +290,11 @@ def _crit7_one(args):
 
 
 def _crit7m_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"hrm:{i}")
     space = _rand_space(rng, dmin=3, dmax=6)
     d = space.dim
-    p = rng.randint(1, 2)
-    degs = []
-    rem = d - 2
-    for j in range(p - 1):
-        degs.append(rng.randint(0, rem))
-        rem -= degs[-1]
-    degs.append(rem)
+    degs = _rand_split(rng, d - 2, rng.randint(1, 2))
     omega = CohClass.unit(space)
     for deg in degs:
         e = rng.randint(1, 3)
@@ -292,15 +306,15 @@ def _crit7m_one(args):
 
 
 def crit_hr_predicates(seed, workers=1):
-    f1 = _run_sharded(_crit7_one, 200, seed, "hr", workers)
-    f2 = _run_sharded(_crit7m_one, 100, seed, "hrm", workers)
+    f1 = _run_sharded(_crit7_one, 200, seed, workers)
+    f2 = _run_sharded(_crit7m_one, 100, seed, workers)
     return _record(7, "hodge-riemann-predicates", 300, f1 + f2)
 
 
 # -- criterion 8: log-concave sequences --------------------------------------
 
 def _crit8_kt_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"kt:{i}")
     space = _rand_space(rng)
     d = space.dim
@@ -318,7 +332,7 @@ def _crit8_kt_one(args):
 
 
 def _crit8_seq_chunk(args):
-    seed, label, c = args
+    seed, c = args
     out = []
     for i in range(c * 25, (c + 1) * 25):
         rng = _rng(seed, f"seq:{i}")
@@ -342,8 +356,8 @@ def _crit8_seq_chunk(args):
 
 
 def crit_kt_log_concavity(seed, workers=1):
-    f1 = _run_sharded(_crit8_kt_one, 200, seed, "kt", workers)
-    f2 = _run_sharded(_crit8_seq_chunk, 40, seed, "seq", workers)
+    f1 = _run_sharded(_crit8_kt_one, 200, seed, workers)
+    f2 = _run_sharded(_crit8_seq_chunk, 40, seed, workers)
     failures = f1 + f2
     checks = 200 + 2000
     # Newton's ultra-log-concavity for the single-row shapes
@@ -361,7 +375,7 @@ def crit_kt_log_concavity(seed, workers=1):
 # -- criterion 9: index-type inequalities ------------------------------------
 
 def _crit9_hi_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"hi:{i}")
     space = _rand_space(rng)
     d = space.dim
@@ -378,7 +392,7 @@ def _crit9_hi_one(args):
 
 
 def _crit9_imp_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"imp:{i}")
     space = _rand_space(rng)
     d = space.dim
@@ -394,8 +408,8 @@ def _crit9_imp_one(args):
 
 
 def crit_index_inequalities(seed, workers=1):
-    f1 = _run_sharded(_crit9_hi_one, 300, seed, "hi", workers)
-    f2 = _run_sharded(_crit9_imp_one, 300, seed, "imp", workers)
+    f1 = _run_sharded(_crit9_hi_one, 300, seed, workers)
+    f2 = _run_sharded(_crit9_imp_one, 300, seed, workers)
     return _record(9, "index-type-inequalities", 600, f1 + f2)
 
 
@@ -422,22 +436,13 @@ def _polya_corpus_item(rng, kind):
         c = _rand_fraction(rng, 1, 5)
         return [c * comb(n, k) for k in range(n + 1)]
     if kind == 1:  # product of linear factors with nonnegative roots
-        k = rng.randint(1, 5)
-        coeffs = [Fraction(1)]
-        for _ in range(k):
-            t = _rand_fraction(rng, 0, 4)
-            nxt = [Fraction(0)] * (len(coeffs) + 1)
-            for j, a in enumerate(coeffs):
-                nxt[j] += a * t
-                nxt[j + 1] += a
-            coeffs = nxt
-        return coeffs
+        return _rand_root_product(rng, rng.randint(1, 5), 4)
     L = rng.randint(2, 6)  # adversarial random draw
     return [_rand_fraction(rng, 0, 9) for _ in range(L)]
 
 
 def _crit10_agree_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"polya:{i}")
     if i < len(_NASTY):
         vals = list(_NASTY[i])
@@ -458,7 +463,7 @@ def _crit10_agree_one(args):
 
 
 def _crit10_comb_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"pcomb:{i}")
     space = _rand_space(rng, dmin=4, dmax=6)
     d = space.dim
@@ -466,14 +471,7 @@ def _crit10_comb_one(args):
     E = _rand_nef_bundle(rng, space, e)
     lam = _rand_partition(rng, d - 2, max_part=e)
     h = CohClass.linear(space, [rng.randint(0, 2) for _ in range(space.k)])
-    coeffs = [Fraction(1)]
-    for _ in range(d - 2):
-        t = _rand_fraction(rng, 0, 3)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for j, a in enumerate(coeffs):
-            nxt[j] += a * t
-            nxt[j + 1] += a
-        coeffs = nxt
+    coeffs = _rand_root_product(rng, d - 2, 3)
     omega = analysis.polya_combination_class(lam, E, h, coeffs)
     if not is_weak_hr(intersection_form(omega, space)):
         return [f"PF combination not weak-HR at instance {i}"]
@@ -482,8 +480,8 @@ def _crit10_comb_one(args):
 
 def crit_polya_suite(seed, workers=1):
     n_agree = 200
-    f1 = _run_sharded(_crit10_agree_one, n_agree, seed, "polya", workers)
-    f2 = _run_sharded(_crit10_comb_one, 100, seed, "pcomb", workers)
+    f1 = _run_sharded(_crit10_agree_one, n_agree, seed, workers)
+    f2 = _run_sharded(_crit10_comb_one, 100, seed, workers)
     failures = f1 + f2
     checks = n_agree + 100
     for t in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
@@ -505,7 +503,7 @@ _CRIT11_CASES = [
 
 
 def _crit11_lor_one(args):
-    seed, label, i = args
+    seed, i = args
     lam, e = _CRIT11_CASES[i]
     p = schur.schur_jt(lam, e).normalize()
     rep = analysis.lorentzian_check(p, "perturbed", Fraction(1, 100))
@@ -517,7 +515,7 @@ def _crit11_lor_one(args):
 
 
 def _crit11_bridge_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"bridge:{i}")
     e = rng.randint(1, 3)
     d = rng.randint(2, 5)
@@ -541,7 +539,7 @@ def _crit11_bridge_one(args):
 
 
 def _crit11_hvi_one(args):
-    seed, label, i = args
+    seed, i = args
     rng = _rng(seed, f"hvi:{i}")
     e = rng.randint(2, 3)
     w = rng.randint(2, 5)
@@ -561,9 +559,9 @@ def _crit11_hvi_one(args):
 
 
 def crit_lorentzian(seed, workers=1):
-    f1 = _run_sharded(_crit11_lor_one, len(_CRIT11_CASES), seed, "lor", workers)
-    f2 = _run_sharded(_crit11_bridge_one, 50, seed, "bridge", workers)
-    f3 = _run_sharded(_crit11_hvi_one, 50, seed, "hvi", workers)
+    f1 = _run_sharded(_crit11_lor_one, len(_CRIT11_CASES), seed, workers)
+    f2 = _run_sharded(_crit11_bridge_one, 50, seed, workers)
+    f3 = _run_sharded(_crit11_hvi_one, 50, seed, workers)
     checks = len(_CRIT11_CASES) + 100
     return _record(11, "lorentzian-certification", checks, f1 + f2 + f3)
 

@@ -103,7 +103,7 @@ def class_is_nef(h):
     """Nefness of a degree-1 class: coordinatewise nonnegative."""
     if h.is_zero:
         return True
-    if h.degree() != 1:
+    if h.homogeneous_degree() != 1:
         raise ValueError("nefness test expects a degree-1 class")
     return all(c >= 0 for c in h.terms.values())
 
@@ -112,7 +112,7 @@ def class_is_ample(h):
     """Ampleness of a degree-1 class: every coordinate strictly positive."""
     if h.is_zero:
         return False
-    if h.degree() != 1:
+    if h.homogeneous_degree() != 1:
         raise ValueError("ampleness test expects a degree-1 class")
     coords = [h.coefficient(tuple(1 if i == j else 0 for i in range(h.space.k)))
               for j in range(h.space.k)]

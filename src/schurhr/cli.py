@@ -111,7 +111,7 @@ def _load_config(path):
 
 def _apply_output_defaults(args, cfg):
     """Flags win; otherwise the config's output block supplies defaults."""
-    block = (cfg or {}).get("output") or {}
+    block = cfg.get("output") or {}
     if getattr(args, "output", None) is None and block.get("path"):
         args.output = block["path"]
     if getattr(args, "format", "absent") is None and block.get("format"):
@@ -197,7 +197,7 @@ def _cmd_schur(args, cfg):
             args,
         )
     else:
-        print(rendered)
+        _write(rendered + "\n", args)
     return 0
 
 
@@ -295,7 +295,6 @@ def _cmd_hr_scan(args, cfg):
 
 
 def _cmd_kt(args, cfg):
-    _apply_output_defaults(args, cfg)
     E = _resolve_bundle(args, cfg)
     F = _resolve_bundle(args, cfg, flag="bundle2")
     lam = _resolve_partition(args, cfg, "lam")
@@ -305,7 +304,6 @@ def _cmd_kt(args, cfg):
 
 
 def _cmd_seq(args, cfg):
-    _apply_output_defaults(args, cfg)
     lam = _resolve_partition(args, cfg, "lam")
     x = _rats(args.point)
     if args.mu is not None:
@@ -393,7 +391,6 @@ def _cmd_bridge(args, cfg):
 
 
 def _cmd_verify(args, cfg):
-    _apply_output_defaults(args, cfg)
     # precedence: explicit flag, then environment, then config, then default
     seed = args.seed
     if seed is None and os.environ.get("SCHURHR_SEED"):
@@ -461,7 +458,8 @@ def build_parser():
 
     def common(p, bundle=True):
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--output", help="write output to a file")
+        # SUPPRESS keeps a --output given before the subcommand
+        p.add_argument("--output", default=argparse.SUPPRESS, help="write output to a file")
         if bundle:
             p.add_argument("--space", help="factor dimensions, e.g. 2,3")
             p.add_argument("--bundle", help="bundle name from the config")
@@ -560,7 +558,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--criteria", help="comma separated criterion ids (default all)")
-    p.add_argument("--output")
+    p.add_argument("--output", default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_verify)
 
     return top
@@ -578,6 +576,7 @@ def main(argv=None):
         cfg = None
         if getattr(args, "config", None):
             cfg = _load_config(args.config)
+            _apply_output_defaults(args, cfg)
         return args.fn(args, cfg)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,4 +1,5 @@
-"""Term-arithmetic kernels, and the one determinant over term dicts.
+"""Term-arithmetic kernels, the one determinant over term dicts, and the
+ring-element class built on them.
 
 Terms are dicts mapping exponent tuples (plain ints, fixed length) to
 nonzero exact coefficients (int or Fraction).  The three multiply and
@@ -7,7 +8,10 @@ accumulate functions are the hot inner loops of the whole package.
 
 import operator
 
-__all__ = ["mul_terms", "mul_terms_capped", "add_scaled", "det_terms"]
+from .errors import DegreeMismatchError
+from .rationals import Rational, canon, fmt_terms, parse_q, terms_to_json
+
+__all__ = ["mul_terms", "mul_terms_capped", "add_scaled", "det_terms", "TermElement"]
 
 
 def mul_terms(a, b):
@@ -132,3 +136,186 @@ def det_terms(rows, mul):
         return total
 
     return dict(minor(tuple(range(n))))
+
+
+class TermElement:
+    """Immutable element of a ring whose elements are term dicts.
+
+    ``ring`` names the ring and ``terms`` holds the element.  This base
+    carries the arithmetic that polynomials (``polyring.MultiPoly``) and
+    truncated cohomology classes (``cohomology.CohClass``) share; elements
+    of one subclass combine only when their rings are equal.  A subclass
+    supplies:
+
+    - ``_shape(ring)``: validate a ring and return it with its exponent
+      length and the per-variable caps past which a monomial is zero
+      (``None`` when nothing is truncated);
+    - ``_mul(a, b)``: the product of two term dicts in the ring;
+    - ``_mismatch``: the error raised for operands from different rings;
+    - ``_letter``: the variable letter used when printing.
+    """
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms=None):
+        ring, width, caps = self._shape(ring)
+        clean = {}
+        if terms:
+            for exps, c in terms.items():
+                exps = tuple(int(x) for x in exps)
+                if len(exps) != width:
+                    raise ValueError(f"exponent {exps} does not have length {width}")
+                if any(x < 0 for x in exps):
+                    raise ValueError(f"negative exponent in {exps}")
+                if caps is not None and any(x > cap for x, cap in zip(exps, caps)):
+                    continue  # past the truncation: zero in the ring
+                c = canon(c)
+                if c:
+                    clean[exps] = clean.get(exps, 0) + c
+                    if not clean[exps]:
+                        del clean[exps]
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _raw(cls, ring, terms):
+        """Trusted constructor: terms already clean, and not copied."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", terms)
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, ring):
+        return cls._raw(ring, {})
+
+    @classmethod
+    def constant(cls, c, ring):
+        """c times the unit of the ring."""
+        c = canon(c)
+        return cls._raw(ring, {(0,) * cls._shape(ring)[1]: c} if c else {})
+
+    # -- queries -------------------------------------------------------------
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def coefficient(self, exps):
+        """Coefficient of the monomial with the given exponents (0 if absent)."""
+        exps = tuple(int(x) for x in exps)
+        width = self._shape(self.ring)[1]
+        if len(exps) != width:
+            raise ValueError(f"exponent {exps} does not have length {width}")
+        return self.terms.get(exps, 0)
+
+    def homogeneous_degree(self):
+        """Common degree of all terms; raises if not homogeneous.
+
+        The zero element is homogeneous of every degree; returns -1.
+        """
+        degs = {sum(e) for e in self.terms}
+        if not degs:
+            return -1
+        if len(degs) > 1:
+            raise DegreeMismatchError(f"not homogeneous: degrees {sorted(degs)}")
+        return degs.pop()
+
+    @property
+    def is_homogeneous(self):
+        return len({sum(e) for e in self.terms}) <= 1
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _check_ring(self, other):
+        if self.ring is not other.ring and self.ring != other.ring:
+            raise self._mismatch(f"different rings: {self.ring!r} vs {other.ring!r}")
+
+    def _add(self, other, sign):
+        if isinstance(other, Rational):
+            other = self.constant(other, self.ring)
+        elif type(other) is not type(self):
+            return NotImplemented
+        else:
+            self._check_ring(other)
+        out = dict(self.terms)
+        add_scaled(out, other.terms, sign)
+        return self._raw(self.ring, out)
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._raw(self.ring, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Rational):
+            return self.scale(other)
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check_ring(other)
+        return self._raw(self.ring, self._mul(self.terms, other.terms))
+
+    def __rmul__(self, other):
+        if isinstance(other, Rational):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c):
+        c = canon(c)
+        if not c:
+            return self._raw(self.ring, {})
+        return self._raw(self.ring, {e: canon(v * c) for e, v in self.terms.items()})
+
+    def __pow__(self, n):
+        """Square-and-multiply."""
+        n = int(n)
+        if n < 0:
+            raise ValueError("negative power")
+        result = self.constant(1, self.ring)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base if n > 1 else base
+            n >>= 1
+        return result
+
+    def __eq__(self, other):
+        if isinstance(other, Rational):
+            other = self.constant(other, self.ring)
+        elif type(other) is not type(self):
+            return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
+
+    __hash__ = None
+
+    # -- presentation --------------------------------------------------------
+
+    def sorted_terms(self):
+        """Terms in canonical (graded-lex descending) order."""
+        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+
+    def __str__(self):
+        return fmt_terms(self.sorted_terms(), self._letter)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.ring!r}, {self})"
+
+    def to_json(self):
+        return terms_to_json(self.sorted_terms())
+
+    @classmethod
+    def from_json(cls, data, ring):
+        return cls(ring, {tuple(t["exponents"]): parse_q(t["coeff"]) for t in data})

@@ -10,59 +10,32 @@ from math import factorial
 
 from . import kernels
 from .errors import DegreeMismatchError
-from .rationals import canon, fmt_terms, parse_q, terms_to_json
+from .rationals import canon, parse_q
 
 
-def _glex(exps):
-    return (sum(exps), exps)
+class MultiPoly(kernels.TermElement):
+    """Immutable sparse polynomial in a fixed number of variables.
 
+    The ring is the variable count, ``nvars``; arithmetic, printing and
+    JSON come from ``kernels.TermElement``.
+    """
 
-class MultiPoly:
-    """Immutable sparse polynomial in a fixed number of variables."""
+    __slots__ = ()
+    nvars = kernels.TermElement.ring  # the ring slot, under this class's name
+    _mismatch = ValueError
+    _letter = "x"
 
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars, terms=None):
+    @staticmethod
+    def _shape(nvars):
         nvars = int(nvars)
         if nvars < 0:
             raise ValueError("variable count must be nonnegative")
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                exps = tuple(int(x) for x in exps)
-                if len(exps) != nvars:
-                    raise ValueError(f"exponent {exps} does not have length {nvars}")
-                if any(x < 0 for x in exps):
-                    raise ValueError(f"negative exponent in {exps}")
-                c = canon(c)
-                if c:
-                    clean[exps] = clean.get(exps, 0) + c
-                    if not clean[exps]:
-                        del clean[exps]
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        return nvars, nvars, None
 
-    @classmethod
-    def _raw(cls, nvars, terms):
-        """Trusted constructor: terms already clean."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiPoly is immutable")
+    def _mul(self, a, b):
+        return kernels.mul_terms(a, b)
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars):
-        return cls._raw(nvars, {})
-
-    @classmethod
-    def constant(cls, c, nvars):
-        c = canon(c)
-        return cls._raw(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def one(cls, nvars):
@@ -80,35 +53,6 @@ class MultiPoly:
         exps = tuple(int(x) for x in exps)
         return cls(len(exps) if nvars is None else nvars, {exps: c})
 
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, exps):
-        """Coefficient of the monomial with the given exponents (0 if absent)."""
-        exps = tuple(int(x) for x in exps)
-        if len(exps) != self.nvars:
-            raise ValueError(f"exponent {exps} does not have length {self.nvars}")
-        return self.terms.get(exps, 0)
-
-    def homogeneous_degree(self):
-        """Common degree of all terms; raises if not homogeneous.
-
-        The zero polynomial is homogeneous of every degree; returns -1.
-        """
-        degs = {sum(e) for e in self.terms}
-        if not degs:
-            return -1
-        if len(degs) > 1:
-            raise DegreeMismatchError(f"polynomial is not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    @property
-    def is_homogeneous(self):
-        return len({sum(e) for e in self.terms}) <= 1
-
     def per_variable_degrees(self):
         """Tuple of max exponents per variable (zeros for the zero poly)."""
         out = [0] * self.nvars
@@ -117,87 +61,6 @@ class MultiPoly:
                 if x > out[j]:
                     out[j] = x
         return tuple(out)
-
-    def sorted_terms(self):
-        """Terms in canonical (graded-lex descending) order."""
-        return sorted(self.terms.items(), key=lambda kv: _glex(kv[0]), reverse=True)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_compat(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable counts differ: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.nvars)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_compat(other)
-        out = dict(self.terms)
-        kernels.add_scaled(out, other.terms)
-        return MultiPoly._raw(self.nvars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly._raw(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.nvars)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_compat(other)
-        out = dict(self.terms)
-        kernels.add_scaled(out, other.terms, -1)
-        return MultiPoly._raw(self.nvars, out)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        self._check_compat(other)
-        return MultiPoly._raw(self.nvars, kernels.mul_terms(self.terms, other.terms))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = canon(c)
-        if not c:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly._raw(
-            self.nvars, {e: canon(v * c) for e, v in self.terms.items()}
-        )
-
-    def __pow__(self, n):
-        n = int(n)
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.one(self.nvars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other, self.nvars)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
-
-    __hash__ = None
 
     # -- the operators used by the verifiers --------------------------------
 
@@ -367,22 +230,6 @@ class MultiPoly:
             if swapped != self.terms:
                 return False
         return True
-
-    # -- presentation ------------------------------------------------------
-
-    def __str__(self):
-        return fmt_terms(self.sorted_terms(), "x")
-
-    def __repr__(self):
-        return f"MultiPoly({self.nvars}, {self})"
-
-    def to_json(self):
-        return terms_to_json(self.sorted_terms())
-
-    @classmethod
-    def from_json(cls, data, nvars):
-        terms = {tuple(t["exponents"]): parse_q(t["coeff"]) for t in data}
-        return cls(nvars, terms)
 
 
 def elementary(i, e):

@@ -64,9 +64,9 @@ def intersection_form(omega, space=None):
         raise DegreeMismatchError(
             f"class has mixed degrees {omega.degrees()}, expected {space.dim - 2}"
         )
-    elif omega.degree() != space.dim - 2:
+    elif omega.homogeneous_degree() != space.dim - 2:
         raise DegreeMismatchError(
-            f"class has degree {omega.degree()}, expected {space.dim - 2}"
+            f"class has degree {omega.homogeneous_degree()}, expected {space.dim - 2}"
         )
     basis = space.h11_basis()
     k = space.k

@@ -223,3 +223,55 @@ def test_config_output_block_is_a_default(tmp_path, capsys):
     text = out.read_text()
     assert text.startswith('{"criteria":[') and text.endswith("}\n") and "\n" not in text[:-1]
     assert capsys.readouterr().out == ""
+
+
+def test_config_output_block_reaches_every_subcommand(tmp_path, config, capsys):
+    out = tmp_path / "class.json"
+    cfg = json.loads(open(config).read())
+    cfg["output"] = {"path": str(out)}
+    path = tmp_path / "with-output.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["class", "--config", str(path), "--bundle", "E", "--lambda", "1,1,1"]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["rendered"] == "3*t1^2*t2 + 2*t1*t2^2 + t2^3"
+
+
+def test_schur_text_goes_to_the_output_file(tmp_path, capsys):
+    out = tmp_path / "schur.txt"
+    assert cli.main(["schur", "--lambda", "1,1", "--vars", "2", "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == "x1^2 + x1*x2 + x2^2\n"
+    # the top-level --output, given before the subcommand, is not dropped
+    top = tmp_path / "top.txt"
+    assert cli.main(["--output", str(top), "schur", "--lambda", "1", "--vars", "1"]) == 0
+    assert capsys.readouterr().out == ""
+    assert top.read_text() == "x1\n"
+
+
+def test_verify_seed_and_workers_precedence(tmp_path, monkeypatch, capsys):
+    """Flags, then SCHURHR_SEED / SCHURHR_WORKERS, then the config's seed,
+    then DEFAULT_SEED."""
+    calls = []
+
+    def fake_run_all(seed, workers, criteria):
+        calls.append((seed, workers))
+        return {"seed": seed, "ok": True, "criteria": []}
+
+    monkeypatch.setattr(acceptance, "run_all", fake_run_all)
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": 7}))
+
+    monkeypatch.setenv("SCHURHR_SEED", "11")
+    monkeypatch.setenv("SCHURHR_WORKERS", "3")
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    assert calls.pop() == (11, 3)
+    assert cli.main(["verify", "--config", str(cfg), "--seed", "5", "--workers", "1"]) == 0
+    assert calls.pop() == (5, 1)
+
+    monkeypatch.delenv("SCHURHR_SEED")
+    monkeypatch.delenv("SCHURHR_WORKERS")
+    assert cli.main(["verify", "--config", str(cfg), "--workers", "1"]) == 0
+    assert calls.pop() == (7, 1)
+    assert cli.main(["verify", "--workers", "1"]) == 0
+    assert calls.pop() == (acceptance.DEFAULT_SEED, 1)
+    capsys.readouterr()

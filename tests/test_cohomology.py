@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from schurhr.cohomology import CohClass, Space, class_det
 from schurhr.errors import SpaceMismatchError
+from schurhr.polyring import MultiPoly
 
 
 def test_space_validation():
@@ -156,3 +157,51 @@ def test_construction_truncates_eagerly():
     X = Space([1, 1])
     u = CohClass(X, {(2, 0): 7, (1, 1): 1})
     assert u == CohClass(X, {(1, 1): 1})
+
+
+# CohClass is MultiPoly modulo tau_j^(n_j + 1): the two subclasses of
+# kernels.TermElement must agree once the terms past the factors are dropped.
+
+@st.composite
+def _space_and_polys(draw):
+    factors = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    k = len(factors)
+    poly = st.dictionaries(
+        st.tuples(*(st.integers(0, n + 1) for n in factors)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        max_size=4,
+    ).map(lambda terms: MultiPoly(k, terms))
+    return Space(factors), draw(poly), draw(poly)
+
+
+def _truncated(p, X):
+    return MultiPoly(X.k, {e: c for e, c in p.terms.items()
+                           if all(x <= n for x, n in zip(e, X.factors))})
+
+
+@settings(max_examples=120, deadline=None)
+@given(_space_and_polys(), st.integers(0, 4),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_cohclass_agrees_with_truncated_multipoly(case, n, c):
+    X, p, q = case
+    u, v = CohClass(X, p.terms), CohClass(X, q.terms)
+    assert MultiPoly(X.k, u.terms) == _truncated(p, X)
+    pairs = [(u + v, p + q), (u - v, p - q), (u * v, p * q), (u ** n, p ** n),
+             (u.scale(c), p.scale(c)), (-u, -p), (u + c, p + c), (c - u, c - p)]
+    for coh, poly in pairs:
+        assert coh.space == X
+        assert MultiPoly(X.k, coh.terms) == _truncated(poly, X)
+    const = _truncated(p, X).coefficient((0,) * X.k)
+    for m in (0, 1, const, const + 1):
+        assert (u == m) == (_truncated(p, X) == m)
+
+
+def test_multipoly_and_cohclass_do_not_mix():
+    X = Space([2])
+    u, p = CohClass.unit(X), MultiPoly.one(1)
+    for op in (lambda a, b: a * b, lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeError):
+            op(p, u)
+        with pytest.raises(TypeError):
+            op(u, p)
+    assert u != p
