@@ -1,14 +1,17 @@
 """The acceptance suite: every exit criterion as a deterministic check.
 
-Each criterion is a function (seed, workers) -> record dict; randomized
+Each criterion is a function (seed, pool) -> record dict; randomized
 criteria derive per-instance streams from the master seed, so reports are
-byte-identical for a fixed seed regardless of worker count.  Instance
-sharding preserves order (ordered pool map).
+byte-identical for a fixed seed regardless of worker count.  ``run_all``
+opens the one process pool of a run; instance sharding preserves order
+(ordered pool map).
 """
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
+from math import comb
 
 from . import analysis, quadforms, schur
 from .bundles import (SplitBundle, chern, chern_all, chern_twist_rule,
@@ -92,17 +95,20 @@ def _rand_root_product(rng, k, hi):
     return coeffs
 
 
-def _run_sharded(fn, n, seed, workers):
-    """[fn((seed, i)) for i in range(n)], flattened, on up to ``workers``
-    processes; the order does not depend on the worker count."""
-    args = [(seed, i) for i in range(n)]
-    if workers <= 1:
-        results = [fn(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            chunk = max(1, n // (workers * 4))
-            results = list(ex.map(fn, args, chunksize=chunk))
-    return [f for r in results for f in r]
+def _run_sharded(seed, pool, *jobs):
+    """The failures of fn((seed, i)) for each job (fn, n) and i < n, in that
+    order, on ``pool`` unless it is None; the order does not depend on the
+    pool.  On a pool, every job is queued before any result is read."""
+    runs = []
+    for fn, n in jobs:
+        args = [(seed, i) for i in range(n)]
+        if pool is None:
+            runs.append(map(fn, args))
+        else:
+            # _max_workers is the worker count the pool was opened with
+            chunk = max(1, n // (pool._max_workers * 4))
+            runs.append(pool.map(fn, args, chunksize=chunk))
+    return [f for results in runs for r in results for f in r]
 
 
 def _record(cid, name, checks, failures):
@@ -117,26 +123,24 @@ def _record(cid, name, checks, failures):
 
 # -- criterion 1: the convex-mix form on P2 x P3 ----------------------------
 
-def crit_convex_mix(seed, workers=1):
+def crit_convex_mix(seed, pool=None):
     failures = []
     rng = _rng(seed, "mix")
     ts = [Fraction(1, 10), Fraction(1, 4), Fraction(1, 3)]
     ts += [Fraction(rng.randint(1, 9), 20) for _ in range(3)]
-    checks = 0
     for t in ts:
         res = analysis.p2p3_convex_example(t)
-        checks += 1
         if not res["matches_closed_form"]:
             failures.append(f"matrix at t={t} differs from closed form")
         if 0 < t < Fraction(1, 2):
             if res["inertia"] != quadforms.InertiaTriple(2, 0, 0):
                 failures.append(f"inertia at t={t} is {res['inertia']}")
-    return _record(1, "convex-mix-form", checks, failures)
+    return _record(1, "convex-mix-form", len(ts), failures)
 
 
 # -- criterion 2: low-degree closed forms -----------------------------------
 
-def crit_low_degree_table(seed, workers=1):
+def crit_low_degree_table(seed, pool=None):
     failures = []
     checks = 0
     for e in (3, 4, 5):
@@ -167,14 +171,14 @@ _CRIT3_CASES = [
 ]
 
 
-def crit_jt_equals_ssyt(seed, workers=1):
-    failures = _run_sharded(_crit3_one, len(_CRIT3_CASES), seed, workers)
+def crit_jt_equals_ssyt(seed, pool=None):
+    failures = _run_sharded(seed, pool, (_crit3_one, len(_CRIT3_CASES)))
     return _record(3, "determinant-vs-tableaux", len(_CRIT3_CASES), failures)
 
 
 # -- criterion 4: box-dual reversal ------------------------------------------
 
-def crit_dual_reversal(seed, workers=1):
+def crit_dual_reversal(seed, pool=None):
     failures = []
     n = 100
     for i in range(n):
@@ -212,9 +216,9 @@ def _crit5_one(args):
     return out
 
 
-def crit_twist_rule(seed, workers=1):
+def crit_twist_rule(seed, pool=None):
     n = 200
-    failures = _run_sharded(_crit5_one, n, seed, workers)
+    failures = _run_sharded(seed, pool, (_crit5_one, n))
     return _record(5, "twist-rule-vs-roots", n, failures)
 
 
@@ -256,10 +260,10 @@ def _crit6m_one(args):
     return []
 
 
-def crit_fl_positivity(seed, workers=1):
-    f1 = _run_sharded(_crit6_one, 500, seed, workers)
-    f2 = _run_sharded(_crit6m_one, 200, seed, workers)
-    return _record(6, "characteristic-number-positivity", 700, f1 + f2)
+def crit_fl_positivity(seed, pool=None):
+    n, n_mono = 500, 200
+    failures = _run_sharded(seed, pool, (_crit6_one, n), (_crit6m_one, n_mono))
+    return _record(6, "characteristic-number-positivity", n + n_mono, failures)
 
 
 # -- criterion 7: one positive eigenvalue under ample twists -----------------
@@ -305,10 +309,10 @@ def _crit7m_one(args):
     return []
 
 
-def crit_hr_predicates(seed, workers=1):
-    f1 = _run_sharded(_crit7_one, 200, seed, workers)
-    f2 = _run_sharded(_crit7m_one, 100, seed, workers)
-    return _record(7, "hodge-riemann-predicates", 300, f1 + f2)
+def crit_hr_predicates(seed, pool=None):
+    n, n_mono = 200, 100
+    failures = _run_sharded(seed, pool, (_crit7_one, n), (_crit7m_one, n_mono))
+    return _record(7, "hodge-riemann-predicates", n + n_mono, failures)
 
 
 # -- criterion 8: log-concave sequences --------------------------------------
@@ -331,44 +335,43 @@ def _crit8_kt_one(args):
     return []
 
 
-def _crit8_seq_chunk(args):
-    seed, c = args
+def _crit8_seq_one(args):
+    """Two checks: a derived value sequence and a pair value sequence."""
+    seed, i = args
     out = []
-    for i in range(c * 25, (c + 1) * 25):
-        rng = _rng(seed, f"seq:{i}")
-        e = rng.randint(1, 4)
-        lam = _rand_partition(rng, rng.randint(1, 6), max_part=e)
-        x = [_rand_fraction(rng, 0, 10) for _ in range(e)]
-        if not analysis.is_log_concave(analysis.derived_value_sequence(lam, x)):
-            out.append(f"derived values not log-concave at instance {i}")
-        rng2 = _rng(seed, f"pair:{i}")
-        e1, e2 = rng2.randint(1, 3), rng2.randint(1, 3)
-        lam1 = _rand_partition(rng2, rng2.randint(1, 5), max_part=e1)
-        mu1 = _rand_partition(rng2, rng2.randint(1, 5), max_part=e2)
-        d = rng2.randint(1, lam1.weight + mu1.weight)
-        x1 = [_rand_fraction(rng2, 0, 10) for _ in range(e1)]
-        y1 = [_rand_fraction(rng2, 0, 10) for _ in range(e2)]
-        if not analysis.is_log_concave(
-            analysis.pair_value_sequence(lam1, mu1, d, x1, y1)
-        ):
-            out.append(f"pair values not log-concave at instance {i}")
+    rng = _rng(seed, f"seq:{i}")
+    e = rng.randint(1, 4)
+    lam = _rand_partition(rng, rng.randint(1, 6), max_part=e)
+    x = [_rand_fraction(rng, 0, 10) for _ in range(e)]
+    if not analysis.is_log_concave(analysis.derived_value_sequence(lam, x)):
+        out.append(f"derived values not log-concave at instance {i}")
+    rng2 = _rng(seed, f"pair:{i}")
+    e1, e2 = rng2.randint(1, 3), rng2.randint(1, 3)
+    lam1 = _rand_partition(rng2, rng2.randint(1, 5), max_part=e1)
+    mu1 = _rand_partition(rng2, rng2.randint(1, 5), max_part=e2)
+    d = rng2.randint(1, lam1.weight + mu1.weight)
+    x1 = [_rand_fraction(rng2, 0, 10) for _ in range(e1)]
+    y1 = [_rand_fraction(rng2, 0, 10) for _ in range(e2)]
+    if not analysis.is_log_concave(
+        analysis.pair_value_sequence(lam1, mu1, d, x1, y1)
+    ):
+        out.append(f"pair values not log-concave at instance {i}")
     return out
 
 
-def crit_kt_log_concavity(seed, workers=1):
-    f1 = _run_sharded(_crit8_kt_one, 200, seed, workers)
-    f2 = _run_sharded(_crit8_seq_chunk, 40, seed, workers)
-    failures = f1 + f2
-    checks = 200 + 2000
+def crit_kt_log_concavity(seed, pool=None):
+    n_kt, n_seq, n_newton = 200, 1000, 20
+    failures = _run_sharded(seed, pool, (_crit8_kt_one, n_kt), (_crit8_seq_one, n_seq))
     # Newton's ultra-log-concavity for the single-row shapes
-    for e in range(1, 6):
+    es = range(1, 6)
+    for e in es:
         rng = _rng(seed, f"newton:{e}")
-        for _ in range(20):
+        for _ in range(n_newton):
             x = [_rand_fraction(rng, 0, 9) for _ in range(e)]
             seq = analysis.derived_value_sequence((e,), x)
-            checks += 1
             if not analysis.is_ultra_log_concave(seq.values):
                 failures.append(f"ultra-log-concavity fails at e={e}, x={x}")
+    checks = n_kt + 2 * n_seq + len(es) * n_newton
     return _record(8, "log-concave-sequences", checks, failures)
 
 
@@ -407,10 +410,10 @@ def _crit9_imp_one(args):
     return []
 
 
-def crit_index_inequalities(seed, workers=1):
-    f1 = _run_sharded(_crit9_hi_one, 300, seed, workers)
-    f2 = _run_sharded(_crit9_imp_one, 300, seed, workers)
-    return _record(9, "index-type-inequalities", 600, f1 + f2)
+def crit_index_inequalities(seed, pool=None):
+    n_hi, n_imp = 300, 300
+    failures = _run_sharded(seed, pool, (_crit9_hi_one, n_hi), (_crit9_imp_one, n_imp))
+    return _record(9, "index-type-inequalities", n_hi + n_imp, failures)
 
 
 # -- criterion 10: Polya frequency suite --------------------------------------
@@ -429,8 +432,6 @@ _NASTY = [
 
 
 def _polya_corpus_item(rng, kind):
-    from math import comb
-
     if kind == 0:  # scaled binomial row
         n = rng.randint(1, 5)
         c = _rand_fraction(rng, 1, 5)
@@ -446,12 +447,8 @@ def _crit10_agree_one(args):
     rng = _rng(seed, f"polya:{i}")
     if i < len(_NASTY):
         vals = list(_NASTY[i])
-    elif i < 30 + len(_NASTY):
-        vals = _polya_corpus_item(rng, 0)
-    elif i < 60 + len(_NASTY):
-        vals = _polya_corpus_item(rng, 1)
-    else:
-        vals = _polya_corpus_item(rng, 2)
+    else:  # 30 of each corpus kind, then random draws
+        vals = _polya_corpus_item(rng, min(2, (i - len(_NASTY)) // 30))
     minors = analysis.polya_check_minors(vals)
     roots = analysis.polya_check_roots(vals)
     if minors != roots:
@@ -478,18 +475,15 @@ def _crit10_comb_one(args):
     return []
 
 
-def crit_polya_suite(seed, workers=1):
-    n_agree = 200
-    f1 = _run_sharded(_crit10_agree_one, n_agree, seed, workers)
-    f2 = _run_sharded(_crit10_comb_one, 100, seed, workers)
-    failures = f1 + f2
-    checks = n_agree + 100
-    for t in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
-        checks += 1
-        res = analysis.p2p3_convex_example(t)
-        if res["is_weak_hr"]:
+def crit_polya_suite(seed, pool=None):
+    n_agree, n_comb = 200, 100
+    ts = (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5))
+    failures = _run_sharded(seed, pool, (_crit10_agree_one, n_agree),
+                            (_crit10_comb_one, n_comb))
+    for t in ts:
+        if analysis.p2p3_convex_example(t)["is_weak_hr"]:
             failures.append(f"non-PF mix unexpectedly weak-HR at t={t}")
-    return _record(10, "polya-frequency-suite", checks, failures)
+    return _record(10, "polya-frequency-suite", n_agree + n_comb + len(ts), failures)
 
 
 # -- criterion 11: Lorentzian certification -----------------------------------
@@ -558,12 +552,11 @@ def _crit11_hvi_one(args):
     return []
 
 
-def crit_lorentzian(seed, workers=1):
-    f1 = _run_sharded(_crit11_lor_one, len(_CRIT11_CASES), seed, workers)
-    f2 = _run_sharded(_crit11_bridge_one, 50, seed, workers)
-    f3 = _run_sharded(_crit11_hvi_one, 50, seed, workers)
-    checks = len(_CRIT11_CASES) + 100
-    return _record(11, "lorentzian-certification", checks, f1 + f2 + f3)
+def crit_lorentzian(seed, pool=None):
+    n_lor, n_bridge, n_hvi = len(_CRIT11_CASES), 50, 50
+    failures = _run_sharded(seed, pool, (_crit11_lor_one, n_lor),
+                            (_crit11_bridge_one, n_bridge), (_crit11_hvi_one, n_hvi))
+    return _record(11, "lorentzian-certification", n_lor + n_bridge + n_hvi, failures)
 
 
 # -- registry -----------------------------------------------------------------
@@ -584,12 +577,16 @@ CRITERIA = [
 
 
 def run_all(seed=DEFAULT_SEED, workers=1, criteria=None):
-    """Run the suite; deterministic report for a fixed seed."""
+    """Run the suite; deterministic report for a fixed seed.
+
+    With workers > 1 one process pool serves every criterion of the run;
+    otherwise everything runs in this process.
+    """
     wanted = set(criteria) if criteria else {cid for cid, _ in CRITERIA}
-    records = []
-    for cid, fn in CRITERIA:
-        if cid in wanted:
-            records.append(fn(seed, workers))
+    chosen = [fn for cid, fn in CRITERIA if cid in wanted]
+    opened = ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    with opened as pool:
+        records = [fn(seed, pool) for fn in chosen]
     return {
         "seed": seed,
         "ok": all(r["ok"] for r in records),

@@ -284,41 +284,27 @@ def _int_values(values):
 
 
 def _base_window_minors_nonneg(mu):
-    """Every minor of the square Toeplitz window (mu[i-j]), i,j < len(mu)."""
+    """Every minor of the square Toeplitz window (mu[i-j]), i,j < len(mu).
+
+    One depth-first walk over increasing row subsets: at depth m it holds
+    the minors of the chosen m rows on every m-subset of the columns, and
+    one Laplace step along the next row extends them.  Once they all vanish,
+    so does every minor on more of the rows.
+    """
     L = len(mu)
     T = [[mu[i - j] if 0 <= i - j < L else 0 for j in range(L)] for i in range(L)]
-    memo = {}
+    tables = _laplace_tables(L)
 
-    def det(rows, cols):
-        if not rows:
-            return 1
-        key = (rows, cols)
-        v = memo.get(key)
-        if v is not None:
-            return v
-        c = cols[-1]
-        rest = cols[:-1]
-        total = 0
-        m = len(rows)
-        for k, r in enumerate(rows):
-            entry = T[r][c]
-            if entry:
-                sub = det(rows[:k] + rows[k + 1:], rest)
-                if sub:
-                    total += ((-1) ** (m - 1 - k)) * entry * sub
-        memo[key] = total
-        return total
+    def walk(m, prev, start):
+        for r in range(start, L):
+            cur = _laplace_step(tables[m], T[r], prev)
+            if any(x < 0 for x in cur):
+                return False
+            if m + 1 < L and any(cur) and not walk(m + 1, cur, r + 1):
+                return False
+        return True
 
-    idx = range(L)
-    for r in range(1, L + 1):
-        for rows in itertools.combinations(idx, r):
-            for cols in itertools.combinations(idx, r):
-                # outside the band staircase the minor vanishes identically
-                if any(cols[k] > rows[k] or rows[k] > cols[k] + L - 1 for k in range(r)):
-                    continue
-                if det(rows, cols) < 0:
-                    return False
-    return True
+    return walk(0, [1], 0)
 
 
 def _virtual_h(mu, depth):
@@ -355,6 +341,22 @@ def _laplace_tables(rows):
     ]
 
 
+def _laplace_step(tab, row, prev):
+    """Minors of the rows behind ``prev`` plus ``row``: one per column subset
+    of ``tab`` (a level of ``_laplace_tables``), by Laplace along ``row``."""
+    out = []
+    for terms in tab:
+        total = 0
+        for c, sign, t in terms:
+            x = row[c]
+            if x:
+                y = prev[t]
+                if y:
+                    total += x * y if sign > 0 else -x * y
+        out.append(total)
+    return out
+
+
 def _first_negative_shape(g, rows, width_cap):
     """First shape, of 2..rows rows and width <= width_cap, whose dual
     Jacobi-Trudi determinant det(g[lam_i - i + j]) is negative, or None.
@@ -376,16 +378,7 @@ def _first_negative_shape(g, rows, width_cap):
         for w in range(top, 0, -1):
             off = w - m
             r = [g[off + j] if off + j >= 0 else 0 for j in range(rows)]
-            cur = []
-            for terms in tab:
-                total = 0
-                for c, sign, t in terms:
-                    x = r[c]
-                    if x:
-                        y = prev[t]
-                        if y:
-                            total += x * y if sign > 0 else -x * y
-                cur.append(total)
+            cur = _laplace_step(tab, r, prev)
             lam.append(w)
             if m and cur[0] < 0:
                 return tuple(lam)
@@ -600,11 +593,12 @@ def _epsilon_shift(q, epsilon, box):
     a, b = epsilon.numerator, epsilon.denominator
     e = q.nvars
     c = lcm(*(v.denominator for v in q.terms.values()))
-    total = MultiPoly.zero(e)
-    for j in range(e):
-        total = total + MultiPoly.variable(j, e)
-    repl = [b * MultiPoly.variable(j, e) + a * total for j in range(e)]
-    shifted = q.scale(c).substitute(repl).truncate_box(box)
+    # the truncated ring of (P^box)^e is Q[x] / (x_j^(box + 1)): the capped
+    # multiply never forms a monomial outside the box
+    ring = Space([box] * e)
+    repl = [CohClass.linear(ring, [a + b if i == j else a for i in range(e)])
+            for j in range(e)]
+    shifted = q.scale(c).substitute(repl)
     scale = c * b ** q.homogeneous_degree()
     return MultiPoly(e, {mu: Fraction(v, scale) for mu, v in shifted.terms.items()})
 
@@ -613,9 +607,9 @@ def lorentzian_witness(p, epsilon):
     """Strictly-Lorentzian candidate converging to p as epsilon -> 0.
 
     Un-normalize, mirror in the box of side max(vars, degree), shift every
-    variable by epsilon times the variable sum, re-truncate to the box (the
-    shift piles exponents above it; those coefficients never enter the
-    quadratic slices), mirror back and normalize.  The shift runs over the
+    variable by epsilon times the variable sum in the ring truncated to the
+    box (the shift piles exponents above it; those coefficients never enter
+    the quadratic slices), mirror back and normalize.  The shift runs over the
     integers: for epsilon = a/b, the mirror q of degree D and c the lcm of
     its coefficient denominators, c * b^D * q(x + epsilon * sum(x)) equals
     (c * q)(b * x + a * sum(x)), and c * b^D is divided out once per kept

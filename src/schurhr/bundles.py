@@ -45,6 +45,9 @@ class SplitBundle:
     def __setattr__(self, name, value):
         raise AttributeError("SplitBundle is immutable")
 
+    def __reduce__(self):
+        return SplitBundle, (self.space, self.lines, self.twist)
+
     @property
     def rank(self):
         return len(self.lines)

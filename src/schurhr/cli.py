@@ -15,7 +15,6 @@ from fractions import Fraction
 from . import acceptance, analysis
 from .bundles import SplitBundle, chern, chern_twist_rule, derived_schur_class, schur_class
 from .cohomology import CohClass, Space
-from .errors import PreconditionError
 from .partitions import Partition
 from .polyring import MultiPoly
 from .quadforms import inertia, intersection_form, is_hr, is_weak_hr, matrix_to_json
@@ -578,10 +577,7 @@ def main(argv=None):
             cfg = _load_config(args.config)
             _apply_output_defaults(args, cfg)
         return args.fn(args, cfg)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except (ValueError, PreconditionError) as exc:
+    except (CliError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

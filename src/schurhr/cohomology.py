@@ -27,6 +27,9 @@ class Space:
     def __setattr__(self, name, value):
         raise AttributeError("Space is immutable")
 
+    def __reduce__(self):
+        return Space, (self.factors,)
+
     @property
     def k(self):
         return len(self.factors)

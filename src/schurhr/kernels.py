@@ -45,17 +45,14 @@ def mul_terms_capped(a, b, caps):
     out = {}
     get = out.get
     add = operator.add
+    le = operator.le
     bitems = list(b.items())
     for ea, ca in a.items():
+        room = tuple(map(operator.sub, caps, ea))
         for eb, cb in bitems:
-            key = tuple(map(add, ea, eb))
-            over = False
-            for x, cap in zip(key, caps):
-                if x > cap:
-                    over = True
-                    break
-            if over:
+            if not all(map(le, eb, room)):
                 continue
+            key = tuple(map(add, ea, eb))
             c = ca * cb
             prev = get(key)
             if prev is None:
@@ -187,6 +184,10 @@ class TermElement:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, past the guard
+        return type(self), (self.ring, self.terms)
 
     @classmethod
     def zero(cls, ring):

@@ -89,22 +89,22 @@ class MultiPoly(kernels.TermElement):
         return canon(total)
 
     def substitute(self, replacements):
-        """Simultaneous substitution; one replacement polynomial per variable.
+        """Simultaneous substitution; one replacement per variable.
 
-        All replacements must share a variable count, which becomes the
-        variable count of the result.
+        The replacements are elements of one ring of ``kernels.TermElement``
+        (polynomials in some variable count, or classes of one truncated
+        cohomology ring), and the result is an element of that ring.
         """
         replacements = list(replacements)
         if len(replacements) != self.nvars:
             raise ValueError(
-                f"need {self.nvars} replacement polynomials, got {len(replacements)}"
+                f"need {self.nvars} replacements, got {len(replacements)}"
             )
         if not replacements:
             return self
-        m = replacements[0].nvars
+        first = replacements[0]
         for r in replacements:
-            if r.nvars != m:
-                raise ValueError("replacement polynomials disagree in variable count")
+            first._check_ring(r)
         pow_memo = {}
 
         def rp(j, k):
@@ -116,14 +116,14 @@ class MultiPoly(kernels.TermElement):
             return v
 
         acc = {}
-        one = MultiPoly.one(m)
+        one = first.constant(1, first.ring)
         for e, c in self.terms.items():
             prod = one
             for j, x in enumerate(e):
                 if x:
                     prod = prod * rp(j, x)
             kernels.add_scaled(acc, prod.terms, c)
-        return MultiPoly._raw(m, acc)
+        return first._raw(first.ring, acc)
 
     def partial(self, j):
         """Exact partial derivative with respect to variable j."""
@@ -184,12 +184,6 @@ class MultiPoly(kernels.TermElement):
                 f"box size {eprime} is below a per-variable degree {max(degs)}"
             )
         out = {tuple(eprime - x for x in e): c for e, c in self.terms.items()}
-        return MultiPoly._raw(self.nvars, out)
-
-    def truncate_box(self, eprime):
-        """Drop all terms with any exponent above eprime."""
-        eprime = int(eprime)
-        out = {e: c for e, c in self.terms.items() if max(e, default=0) <= eprime}
         return MultiPoly._raw(self.nvars, out)
 
     def hessian_of_partial(self, alpha):

@@ -4,6 +4,7 @@ Each test prints a PASS/FAIL line (visible with -s) and enforces the
 stated runtime budget where one exists.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -20,10 +21,12 @@ BUDGETS = {1: 1.0, 2: 5.0, 3: 60.0, 10: 20.0, 11: 30.0}
 
 _FN = dict(acceptance.CRITERIA)
 
+REFERENCE = os.path.join(os.path.dirname(__file__), "..", "perfbench", "reference.json")
+
 
 def _run(cid):
     t0 = time.perf_counter()
-    record = _FN[cid](SEED, workers=1)
+    record = _FN[cid](SEED)
     elapsed = time.perf_counter() - t0
     status = "PASS" if record["ok"] else "FAIL"
     print(f"criterion {cid:2d} [{record['name']}]: {status} "
@@ -96,3 +99,23 @@ def test_criterion_12_verify_is_byte_deterministic(tmp_path):
     report = json.loads(first.stdout)
     assert report["ok"] is True
     assert [c["id"] for c in report["criteria"]] == list(range(1, 12))
+    if SEED == 42:
+        # the benchmark pins the default-seed report
+        with open(REFERENCE) as fh:
+            want = json.load(fh)["verify_report_sha256"]
+        assert hashlib.sha256(first.stdout).hexdigest() == want
+
+
+def test_one_pool_per_run(monkeypatch):
+    opened = []
+
+    class CountingPool(acceptance.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "ProcessPoolExecutor", CountingPool)
+    serial = acceptance.run_all(SEED, workers=1, criteria=[5, 9])
+    assert opened == []
+    assert acceptance.run_all(SEED, workers=2, criteria=[5, 9]) == serial
+    assert opened == [2]

@@ -194,7 +194,7 @@ def test_verify_subset():
 
 
 def test_verify_internal_error_is_not_a_usage_error(monkeypatch, capsys):
-    def broken(seed, workers=1):
+    def broken(seed, pool=None):
         raise DegreeMismatchError("raised inside a criterion")
 
     monkeypatch.setattr(acceptance, "CRITERIA", [(1, broken)])

@@ -1,12 +1,15 @@
 """The truncated ring: relations, integration, pairing."""
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurhr.bundles import SplitBundle
 from schurhr.cohomology import CohClass, Space, class_det
 from schurhr.errors import SpaceMismatchError
 from schurhr.polyring import MultiPoly
@@ -151,6 +154,21 @@ def test_serialization_round_trip():
     u = CohClass(X, {(1, 2): Fraction(5, 3), (0, 0): -2})
     assert CohClass.from_json(u.to_json(), X) == u
     assert Space.from_json(X.to_json()) == X
+
+
+def test_value_types_pickle_and_copy():
+    X = Space([2, 3])
+    values = [
+        MultiPoly(2, {(2, 0): Fraction(1, 3), (0, 1): -4}),
+        CohClass(X, {(1, 2): Fraction(5, 3), (0, 0): -2}),
+        X,
+        SplitBundle(X, [(1, 0), (0, 2)], (Fraction(1, 2), 0)),
+    ]
+    for v in values:
+        for twin in (pickle.loads(pickle.dumps(v)), copy.copy(v)):
+            assert type(twin) is type(v) and twin == v
+            with pytest.raises(AttributeError, match="immutable"):
+                twin.space = None
 
 
 def test_construction_truncates_eagerly():

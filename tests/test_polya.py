@@ -1,5 +1,6 @@
 """Frequency-sequence tests: matrix route, root route, combinations."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schurhr import kernels
-from schurhr.analysis import (PolyaSequence, _first_negative_shape,
+from schurhr.analysis import (PolyaSequence, _base_window_minors_nonneg,
+                              _first_negative_shape,
                               p2p3_convex_example, polya_check_minors,
                               polya_check_roots, polya_combination_class)
 from schurhr.bundles import SplitBundle, schur_class
@@ -101,6 +103,27 @@ def test_minor_walk_finds_the_first_negative_shape():
         assert got == want, (g, rows, width)
         depths.add(len(got) if got else None)
     assert depths == {None, 2, 3, 4, 5}
+
+
+def test_window_walk_checks_every_minor():
+    # the row-subset walk against one determinant per minor of the window;
+    # zeros make whole row sets vanish, which the walk prunes
+    rng = random.Random(29)
+    verdicts = set()
+    for _ in range(300):
+        L = rng.randint(1, 5)
+        mu = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(L)]
+        T = [[{(): mu[i - j]} if i >= j and mu[i - j] else {} for j in range(L)]
+             for i in range(L)]
+        want = all(
+            kernels.det_terms([[T[r][c] for c in cols] for r in rows],
+                              kernels.mul_terms).get((), 0) >= 0
+            for k in range(1, L + 1)
+            for rows in itertools.combinations(range(L), k)
+            for cols in itertools.combinations(range(L), k))
+        assert _base_window_minors_nonneg(mu) == want, mu
+        verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_routes_agree_on_log_concave_traps():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurhr.errors import DegreeMismatchError
+from schurhr.cohomology import CohClass, Space
+from schurhr.errors import DegreeMismatchError, SpaceMismatchError
 from schurhr.partitions import ssyt_count
 from schurhr import kernels
 from schurhr.polyring import MultiPoly, elementary
@@ -42,6 +43,12 @@ def test_substitute_binomial():
     p = P(2, {(2, 0): 1})
     q = p.substitute([x(0) + x(1), x(1)])
     assert q == P(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    # into a truncated ring: the result lives there, past-the-cap terms dropped
+    X = Space([1, 2])
+    t1, t2 = X.h11_basis()
+    assert p.substitute([t1 + t2, t2]) == CohClass(X, {(1, 1): 2, (0, 2): 1})
+    with pytest.raises(SpaceMismatchError):
+        p.substitute([t1, Space([2]).h11_basis()[0]])
 
 
 @settings(max_examples=60)
