@@ -9,7 +9,7 @@ floating point.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 
 from .bundles import (SplitBundle, chern_all, class_is_nef,
                       derived_schur_class, derived_schur_classes, schur_class)
@@ -18,7 +18,7 @@ from .errors import DegreeMismatchError, PreconditionError
 from .partitions import Partition, dual_in_box
 from .polyring import MultiPoly
 from .quadforms import inertia, intersection_form, is_hr, is_weak_hr
-from .rationals import canon, fmt_q, parse_q
+from .rationals import canon, common_denominator, fmt_q, parse_q
 from .realroots import has_only_real_roots
 from .schur import derived_all, schur_jt
 
@@ -279,8 +279,8 @@ class PolyaSequence:
 
 def _int_values(values):
     """Clear denominators (positive scaling preserves every minor sign)."""
-    den = lcm(*(Fraction(v).denominator for v in values)) if values else 1
-    return [int(Fraction(v) * den) for v in values]
+    den = common_denominator(values)
+    return [int(v * den) for v in values]
 
 
 def _base_window_minors_nonneg(mu):
@@ -435,7 +435,7 @@ def polya_check_minors(mus, width_cap=POLYA_WIDTH_CAP, h_cap=POLYA_H_CAP):
     mus = mus if isinstance(mus, PolyaSequence) else PolyaSequence(mus)
     if len(mus) > 8:
         raise PreconditionError("minor test is capped at sequence length 8")
-    vals = _int_values(list(mus.values))
+    vals = _int_values(mus.values)
     while vals and vals[0] == 0:
         vals.pop(0)
     while vals and vals[-1] == 0:
@@ -592,7 +592,7 @@ def _epsilon_shift(q, epsilon, box):
     """
     a, b = epsilon.numerator, epsilon.denominator
     e = q.nvars
-    c = lcm(*(v.denominator for v in q.terms.values()))
+    c = common_denominator(q.terms.values())
     # the truncated ring of (P^box)^e is Q[x] / (x_j^(box + 1)): the capped
     # multiply never forms a monomial outside the box
     ring = Space([box] * e)

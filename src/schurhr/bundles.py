@@ -9,12 +9,13 @@ split twisted bundle is nef exactly when every root is coordinatewise
 nonnegative.
 """
 
+from fractions import Fraction
 from math import comb
 
 from .cohomology import CohClass, Space, class_det
 from .errors import SpaceMismatchError
 from .partitions import Partition
-from .rationals import fmt_q, parse_q
+from .rationals import common_denominator, fmt_q, parse_q
 
 
 class SplitBundle:
@@ -194,13 +195,23 @@ def char_class(p, E):
 
 
 def schur_class(lam, E):
-    """Schur class from the determinant in the Chern classes of E."""
+    """Schur class from the determinant in the Chern classes of E.
+
+    The determinant runs over integer roots.  With b the common denominator
+    of the twist, the bundle E_b with lines b * line and twist b * delta has
+    integral roots, b times those of E; s_lam is homogeneous of degree |lam|
+    in the roots, so s_lam(E) = s_lam(E_b) / b^|lam|, divided out once.
+    """
     lam = Partition(lam)
     if lam.first > E.rank:
         return CohClass.zero(E.space)
     parts = lam.normalized
     if not parts:
         return CohClass.unit(E.space)
+    b = common_denominator(E.twist)
+    if b > 1:
+        E = SplitBundle(E.space, [[b * a for a in line] for line in E.lines],
+                        [b * d for d in E.twist])
     cs = chern_all(E)
     zero = CohClass.zero(E.space)
     n = len(parts)
@@ -209,7 +220,8 @@ def schur_class(lam, E):
         return cs[i] if 0 <= i <= E.rank else zero
 
     rows = [[entry(parts[r] - r + s) for s in range(n)] for r in range(n)]
-    return class_det(rows)
+    det = class_det(rows)
+    return det.scale(Fraction(1, b ** lam.weight)) if b > 1 else det
 
 
 def derived_schur_classes(lam, E, imax=None):
@@ -244,7 +256,8 @@ def derived_schur_classes(lam, E, imax=None):
         i = exps[-1]
         if i <= imax:
             buckets[i][exps[:-1]] = c
-    return [CohClass(space, terms) for terms in buckets]
+    # slices of a capped, canonical class are clean already
+    return [CohClass._raw(space, terms) for terms in buckets]
 
 
 def derived_schur_class(lam, i, E):

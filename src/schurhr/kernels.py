@@ -132,7 +132,9 @@ def det_terms(rows, mul):
         memo[row_idx] = total
         return total
 
-    return dict(minor(tuple(range(n))))
+    det = dict(minor(tuple(range(n))))
+    del minor  # the closure refers to itself: break the cycle, so memo dies now
+    return det
 
 
 class TermElement:

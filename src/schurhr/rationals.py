@@ -6,6 +6,7 @@ paths stay fast.  JSON carries rationals as strings like "3", "-2/5".
 """
 
 from fractions import Fraction
+from math import lcm
 
 Rational = (int, Fraction)
 
@@ -28,6 +29,14 @@ def parse_q(s):
     if isinstance(s, str):
         return canon(Fraction(s))
     raise TypeError(f"cannot parse rational from {s!r}")
+
+
+def common_denominator(values):
+    """Least common multiple of the denominators of ``values`` (1 when empty).
+
+    Multiplying every value by it gives integers.
+    """
+    return lcm(*(v.denominator for v in values))
 
 
 def fmt_q(c):

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from schurhr import kernels
 from schurhr.bundles import (SplitBundle, char_class, chern, chern_all,
                              chern_twist_rule, class_is_ample, class_is_nef,
                              derived_schur_class, derived_schur_classes,
                              schur_class)
 from schurhr.cohomology import CohClass, Space
+from schurhr.partitions import partitions_of
 from schurhr.polyring import MultiPoly, elementary
 from schurhr.schur import schur_jt
 
@@ -138,6 +141,69 @@ def test_schur_class_agrees_with_monomial_evaluation():
 
         lam = _rand_partition(rng, w, max_part=rank)
         assert schur_class(lam, E) == char_class(schur_jt(lam, rank), E)
+
+
+_twist_coords = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+
+
+@st.composite
+def _twisted_instances(draw):
+    """A bundle of rank 1-3 with a rational twist (denominators up to 6) on
+    1-3 projective factors, a partition fitting its rank, and a second
+    twist vector."""
+    X = Space(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rank = draw(st.integers(1, 3))
+    lines = draw(st.lists(st.tuples(*[st.integers(0, 2)] * X.k),
+                          min_size=rank, max_size=rank))
+    twist = draw(st.tuples(*[_twist_coords] * X.k))
+    w = draw(st.integers(1, min(4, X.dim + 1)))
+    lam = draw(st.sampled_from(list(partitions_of(w, max_part=rank))))
+    delta = draw(st.tuples(*[_twist_coords] * X.k))
+    return SplitBundle(X, lines, twist), lam, delta
+
+
+@settings(max_examples=60, deadline=None)
+@given(_twisted_instances())
+def test_schur_class_over_integer_roots_matches_root_evaluation(inst):
+    # the determinant over the denominator-cleared roots, divided once,
+    # against the polynomial evaluated term by term at the rational roots
+    E, lam, _ = inst
+    assert schur_class(lam, E) == char_class(schur_jt(lam, E.rank), E)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_twisted_instances())
+def test_derived_classes_satisfy_twist_rule(inst):
+    # s_lam(E<delta>) = sum_i s_lam^(i)(E) delta^i, the left side evaluated
+    # at the roots of E<delta>, never through schur_class
+    E, lam, delta = inst
+    X = E.space
+    dc = CohClass.linear(X, delta)
+    rhs, power = CohClass.zero(X), CohClass.unit(X)
+    for cls in derived_schur_classes(lam, E):
+        rhs = rhs + cls * power
+        power = power * dc
+    assert rhs == char_class(schur_jt(lam, E.rank), E.twisted_by(delta))
+
+
+def test_schur_class_multiplies_integers_only(monkeypatch):
+    X = Space([2, 3, 1])
+    E = SplitBundle(X, [(1, 0, 2), (0, 2, 1), (2, 1, 0)],
+                    (Fraction(1, 2), Fraction(2, 3), Fraction(5, 6)))
+    lam = (2, 1, 1)
+    want = char_class(schur_jt(lam, E.rank), E)
+    seen = []
+    original = kernels.mul_terms_capped
+
+    def spy(a, b, caps):
+        seen.extend(c for terms in (a, b) for c in terms.values())
+        return original(a, b, caps)
+
+    monkeypatch.setattr(kernels, "mul_terms_capped", spy)
+    got = schur_class(lam, E)
+    monkeypatch.undo()
+    assert got == want
+    assert seen and all(type(c) is int for c in seen)
 
 
 def test_derived_class_agrees_with_monomial_evaluation():

@@ -1,5 +1,6 @@
 """The term kernels must agree exactly with a naive oracle on random inputs."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -77,3 +78,16 @@ def test_cancellation_removes_entries():
     # (x + 1)(x - 1) = x^2 - 1: the x-terms cancel and must not be stored
     out = kernels.mul_terms(a, b)
     assert out == {(2,): 1, (0,): -1}
+
+
+def test_det_terms_leaves_no_cyclic_garbage():
+    # the memo of minors must die with the call, not wait for the cyclic GC
+    rng = random.Random(4)
+    rows = [[_rand_terms(rng, 2, 3) for _ in range(4)] for _ in range(4)]
+    gc.collect()
+    gc.disable()
+    try:
+        kernels.det_terms(rows, kernels.mul_terms)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
