@@ -17,7 +17,7 @@ from .analysis import (InequalityResult, LorentzianReport, PolyaSequence,
                        polya_check_roots, polya_combination_class,
                        schur_hodge_improved_check)
 from .bundles import (SplitBundle, char_class, chern, chern_all,
-                      chern_twist_rule, class_is_ample, class_is_nef,
+                      chern_twist_rule, class_is_nef,
                       derived_schur_class, derived_schur_classes, schur_class)
 from .cohomology import CohClass, Space, class_det
 from .errors import DegreeMismatchError, PreconditionError, SpaceMismatchError

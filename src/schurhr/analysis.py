@@ -194,13 +194,14 @@ def kt_sequence(E, F, lam, mu):
         raise PreconditionError(
             f"|lam| + |mu| = {lam.weight + mu.weight} must be at least dim = {d}"
         )
+    top = lam.weight + mu.weight - d
     lo = max(0, mu.weight - d)
-    hi = min(mu.weight, lam.weight + mu.weight - d)
-    sE = derived_schur_classes(lam, E)
-    sF = derived_schur_classes(mu, F)
+    hi = min(mu.weight, top)
+    sE = derived_schur_classes(lam, E, top - lo)  # only the slices read below
+    sF = derived_schur_classes(mu, F, hi)
     values = []
     for i in range(lo, hi + 1):
-        j = lam.weight + mu.weight - d - i
+        j = top - i
         values.append((sE[j] * sF[i]).integrate())
     return Sequence(tuple(values), provenance="kt", start=lo)
 
@@ -283,30 +284,6 @@ def _int_values(values):
     return [int(v * den) for v in values]
 
 
-def _base_window_minors_nonneg(mu):
-    """Every minor of the square Toeplitz window (mu[i-j]), i,j < len(mu).
-
-    One depth-first walk over increasing row subsets: at depth m it holds
-    the minors of the chosen m rows on every m-subset of the columns, and
-    one Laplace step along the next row extends them.  Once they all vanish,
-    so does every minor on more of the rows.
-    """
-    L = len(mu)
-    T = [[mu[i - j] if 0 <= i - j < L else 0 for j in range(L)] for i in range(L)]
-    tables = _laplace_tables(L)
-
-    def walk(m, prev, start):
-        for r in range(start, L):
-            cur = _laplace_step(tables[m], T[r], prev)
-            if any(x < 0 for x in cur):
-                return False
-            if m + 1 < L and any(cur) and not walk(m + 1, cur, r + 1):
-                return False
-        return True
-
-    return walk(0, [1], 0)
-
-
 def _virtual_h(mu, depth):
     """Integer multiples of the formal inverse-series coefficients of mu.
 
@@ -341,22 +318,6 @@ def _laplace_tables(rows):
     ]
 
 
-def _laplace_step(tab, row, prev):
-    """Minors of the rows behind ``prev`` plus ``row``: one per column subset
-    of ``tab`` (a level of ``_laplace_tables``), by Laplace along ``row``."""
-    out = []
-    for terms in tab:
-        total = 0
-        for c, sign, t in terms:
-            x = row[c]
-            if x:
-                y = prev[t]
-                if y:
-                    total += x * y if sign > 0 else -x * y
-        out.append(total)
-    return out
-
-
 def _first_negative_shape(g, rows, width_cap):
     """First shape, of 2..rows rows and width <= width_cap, whose dual
     Jacobi-Trudi determinant det(g[lam_i - i + j]) is negative, or None.
@@ -365,8 +326,10 @@ def _first_negative_shape(g, rows, width_cap):
     over lam_1 >= lam_2 >= ... >= 1 shares every prefix: at depth m it holds
     the minors of the first m rows on every m-subset of the columns
     ``range(rows)``, and one Laplace step along the next row extends them.  A
-    shape's determinant is the leading minor of its rows.  Shapes are visited
-    parent before children, widest part first.
+    shape's determinant is the leading minor of its rows; padding it with zero
+    parts changes nothing (a padded row i is g[j - i], zero left of the
+    diagonal and g[0] = 1 on it).  Shapes are visited parent before children,
+    widest part first.
     """
     tables = _laplace_tables(rows)
     lam = []
@@ -378,7 +341,16 @@ def _first_negative_shape(g, rows, width_cap):
         for w in range(top, 0, -1):
             off = w - m
             r = [g[off + j] if off + j >= 0 else 0 for j in range(rows)]
-            cur = _laplace_step(tab, r, prev)
+            cur = []
+            for terms in tab:  # Laplace along r
+                total = 0
+                for c, sign, t in terms:
+                    x = r[c]
+                    if x:
+                        y = prev[t]
+                        if y:
+                            total += x * y if sign > 0 else -x * y
+                cur.append(total)
             lam.append(w)
             if m and cur[0] < 0:
                 return tuple(lam)
@@ -392,45 +364,46 @@ def _first_negative_shape(g, rows, width_cap):
     return walk(0, [1], width_cap)
 
 
-def _schur_family_nonneg(mu, width_cap, h_cap):
-    """Nonnegativity of all virtual straight Schur evaluations of mu.
-
-    Any minor of the (zero-extended) Toeplitz matrix of mu is a skew Schur
-    determinant in the virtual variables, and skew Schur functions expand
-    positively into straight ones, so checking straight shapes decides total
-    nonnegativity.  Shapes have at most len(mu) - 1 rows; the width is the
-    only truncated direction (negative minors of rational non-PF sequences
-    always appear at modest width in practice, but width_cap is exposed).
-
-    Single-row shapes are the entries of g, checked h_cap deep.  The others
-    go through one prefix-sharing walk, ``_first_negative_shape``, which
-    reads a k-row shape's determinant as the leading k x k minor of the
-    walk's len(mu) - 1 columns.  That is also the determinant of the shape
-    padded with zero parts to len(mu) - 1 rows: a padded row i is g[j - i],
-    zero left of the diagonal and g[0] = 1 on it, so the trailing block is
-    unitriangular and the padded determinant equals the unpadded one.  So
-    every shape, padded or not, is one determinant, visited once.
-    """
-    L = len(mu)
-    g = _virtual_h(mu, h_cap + L + 2)
-    if any(x < 0 for x in g):
-        return False  # single-row shapes, checked deep
-    return _first_negative_shape(g, L - 1, width_cap) is None
-
-
 # Bounds of the virtual-Schur search in polya_check_minors: the widest shape
-# and the depth to which the single-row entries are checked.
+# and the depth to which the single-row entries are checked.  The width cap
+# must stay >= 8, the length cap of polya_check_minors: the square-window
+# minors are covered only because every shape of width <= len(mu) is walked.
 POLYA_WIDTH_CAP = 12
 POLYA_H_CAP = 60
 
 
-def polya_check_minors(mus, width_cap=POLYA_WIDTH_CAP, h_cap=POLYA_H_CAP):
+def polya_check_minors(mus):
     """Total nonnegativity of the Toeplitz matrix of the sequence.
 
-    Checks every minor of the literal square window, then the equivalent
-    straight virtual-Schur family of the zero-extended matrix in both
-    orientations (reversal preserves the property).  Length is capped at 8;
-    the root-counting route has no cap.
+    After trimming zeros and clearing denominators (positive scalings keep
+    every sign), read mu as the elementary symmetric values e_i of virtual
+    variables x_1..x_n, n = len(mu) - 1.  A minor of the zero-extended
+    Toeplitz matrix (mu[i - j]) is then a positive multiple of a skew Schur
+    function s_{kappa/rho}(x), and by the Littlewood-Richardson rule
+    s_{kappa/rho} = sum c_nu s_nu with c_nu >= 0 and nu inside kappa, so the
+    straight shapes decide.  s_nu vanishes past n rows (e_k = 0 for k > n);
+    only the width is bounded.  Single rows are the virtual h sequence
+    (``_virtual_h``), checked POLYA_H_CAP + len(mu) + 2 deep; shapes of
+    2..n rows and width <= POLYA_WIDTH_CAP go through one walk,
+    ``_first_negative_shape``.
+
+    Two checks that a direct reading would add need no walk of their own:
+
+    * The square window (mu[i - j]), i, j < len(mu).  Its minor of size m is
+      s_{kappa/rho} with kappa_1 <= m, so every nu it expands into has
+      nu_1 <= len(mu) <= 8 <= POLYA_WIDTH_CAP and at most n rows: the walk
+      visits them all.
+    * The reversed sequence, which is a frequency sequence exactly when mu
+      is.  Its variables are 1/x, and s_nu(1/x) (x_1...x_n)^N = s_nubar(x),
+      with nubar the complement of nu in the n x N box, N = nu_1 (an identity
+      in e_1..e_n and 1/e_n, so it holds for virtual x).  As x_1...x_n =
+      mu_n / mu_0 > 0, the reversed determinant at nu has the sign of the
+      forward one at nubar, which is no wider than nu: inside the walked
+      family.  The reversed single rows are the exception: they run deeper
+      than the width cap, and their complements are rectangles that wide.
+      So the reversed h sequence is still checked, to the same depth.
+
+    Length is capped at 8; the root-counting route has no cap.
     """
     mus = mus if isinstance(mus, PolyaSequence) else PolyaSequence(mus)
     if len(mus) > 8:
@@ -442,11 +415,12 @@ def polya_check_minors(mus, width_cap=POLYA_WIDTH_CAP, h_cap=POLYA_H_CAP):
         vals.pop()
     if len(vals) <= 1:
         return True
-    if not _base_window_minors_nonneg(vals):
+    L = len(vals)
+    depth = POLYA_H_CAP + L + 2
+    g = _virtual_h(vals, depth)
+    if any(x < 0 for x in g) or any(x < 0 for x in _virtual_h(vals[::-1], depth)):
         return False
-    return _schur_family_nonneg(vals, width_cap, h_cap) and _schur_family_nonneg(
-        vals[::-1], width_cap, h_cap
-    )
+    return _first_negative_shape(g, L - 1, POLYA_WIDTH_CAP) is None
 
 
 def polya_check_roots(mus):

@@ -112,17 +112,6 @@ def class_is_nef(h):
     return all(c >= 0 for c in h.terms.values())
 
 
-def class_is_ample(h):
-    """Ampleness of a degree-1 class: every coordinate strictly positive."""
-    if h.is_zero:
-        return False
-    if h.homogeneous_degree() != 1:
-        raise ValueError("ampleness test expects a degree-1 class")
-    coords = [h.coefficient(tuple(1 if i == j else 0 for i in range(h.space.k)))
-              for j in range(h.space.k)]
-    return all(c > 0 for c in coords)
-
-
 def chern_all(E):
     """Total Chern class as the list [c_0(E), ..., c_rank(E)]."""
     space = E.space

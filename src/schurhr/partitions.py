@@ -134,48 +134,6 @@ def partitions_in_box(e, N):
         yield from partitions_of(w, max_part=e, max_len=N)
 
 
-def _tableau_search(shape, maxval, remaining, tally=None):
-    """Backtracking fill of a Young diagram, column-strict down, weakly
-    increasing along rows.  With a content vector ``remaining`` it counts
-    fillings of that exact content; with a tally dict it bins all fillings
-    with entries 1..maxval by weight.
-    """
-    cells = [(r, c) for r, row_len in enumerate(shape) for c in range(row_len)]
-    ncells = len(cells)
-    grid = [[0] * row_len for row_len in shape]
-    count = 0
-    weight = [0] * maxval
-
-    def place(k):
-        nonlocal count
-        if k == ncells:
-            if tally is None:
-                count += 1
-            else:
-                key = tuple(weight)
-                tally[key] = tally.get(key, 0) + 1
-            return
-        r, c = cells[k]
-        lo = grid[r][c - 1] if c > 0 else 1
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)
-        for v in range(lo, maxval + 1):
-            if remaining is not None:
-                if remaining[v - 1] == 0:
-                    continue
-                remaining[v - 1] -= 1
-            grid[r][c] = v
-            weight[v - 1] += 1
-            place(k + 1)
-            weight[v - 1] -= 1
-            if remaining is not None:
-                remaining[v - 1] += 1
-        grid[r][c] = 0
-
-    place(0)
-    return count
-
-
 def ssyt_count(shape, weight):
     """Number of semistandard Young tableaux of the given shape and content.
 
@@ -189,19 +147,43 @@ def ssyt_count(shape, weight):
         raise ValueError(
             f"weight sum {sum(weight)} does not match shape weight {shape.weight}"
         )
-    if shape.weight == 0:
-        return 1
-    return _tableau_search(shape.normalized, len(weight), list(weight))
+    return ssyt_weight_counts(shape, len(weight)).get(tuple(weight), 0)
 
 
 def ssyt_weight_counts(shape, maxval):
-    """Map weight vector -> number of SSYT of the shape with entries 1..maxval."""
+    """Map weight vector -> number of SSYT of the shape with entries 1..maxval.
+
+    Backtracking fill of the Young diagram, column-strict down and weakly
+    increasing along rows, binning every filling by its weight.
+    """
     shape = Partition(shape)
     if shape.weight == 0:
         return {(0,) * maxval: 1}
     if maxval < 1 or shape.length > maxval:
         # a column longer than the alphabet admits no column-strict filling
         return {}
+    rows = shape.normalized
+    cells = [(r, c) for r, row_len in enumerate(rows) for c in range(row_len)]
+    ncells = len(cells)
+    grid = [[0] * row_len for row_len in rows]
+    weight = [0] * maxval
     tally = {}
-    _tableau_search(shape.normalized, maxval, None, tally)
+
+    def place(k):
+        if k == ncells:
+            key = tuple(weight)
+            tally[key] = tally.get(key, 0) + 1
+            return
+        r, c = cells[k]
+        lo = grid[r][c - 1] if c > 0 else 1
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)
+        for v in range(lo, maxval + 1):
+            grid[r][c] = v
+            weight[v - 1] += 1
+            place(k + 1)
+            weight[v - 1] -= 1
+        grid[r][c] = 0
+
+    place(0)
     return tally

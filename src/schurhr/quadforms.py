@@ -68,14 +68,17 @@ def intersection_form(omega, space=None):
         raise DegreeMismatchError(
             f"class has degree {omega.homogeneous_degree()}, expected {space.dim - 2}"
         )
-    basis = space.h11_basis()
+    # integral of tau_i * omega * tau_j: omega's coefficient at top - e_i - e_j
+    top = space.factors
     k = space.k
-    partial = [omega * t for t in basis]
     mat = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i, k):
-            v = (partial[i] * basis[j]).integrate()
-            mat[i][j] = mat[j][i] = v
+            exps = list(top)
+            exps[i] -= 1
+            exps[j] -= 1
+            if min(exps) >= 0:
+                mat[i][j] = mat[j][i] = omega.terms.get(tuple(exps), 0)
     return tuple(tuple(row) for row in mat)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from schurhr import kernels
 from schurhr.bundles import (SplitBundle, char_class, chern, chern_all,
-                             chern_twist_rule, class_is_ample, class_is_nef,
+                             chern_twist_rule, class_is_nef,
                              derived_schur_class, derived_schur_classes,
                              schur_class)
 from schurhr.cohomology import CohClass, Space
@@ -223,14 +223,12 @@ def test_is_nef():
     assert SplitBundle(X, [(-1, 2)], (Fraction(3, 2), 0)).is_nef()
 
 
-def test_class_nef_and_ample():
+def test_class_nef():
     X = Space([2, 3])
     a, b = X.h11_basis()
     assert class_is_nef(a)
     assert class_is_nef(CohClass.zero(X))
     assert not class_is_nef(a - b)
-    assert class_is_ample(a + b)
-    assert not class_is_ample(a)
 
 
 def test_serialization_round_trip():

@@ -6,17 +6,17 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schurhr import kernels
-from schurhr.analysis import (PolyaSequence, _base_window_minors_nonneg,
-                              _first_negative_shape,
-                              p2p3_convex_example, polya_check_minors,
+from schurhr.analysis import (PolyaSequence, _first_negative_shape,
+                              _virtual_h, p2p3_convex_example,
+                              polya_check_minors,
                               polya_check_roots, polya_combination_class)
 from schurhr.bundles import SplitBundle, schur_class
 from schurhr.cohomology import CohClass, Space
 from schurhr.errors import PreconditionError
-from schurhr.partitions import partitions_of
+from schurhr.partitions import dual_in_box, partitions_in_box, partitions_of
 from schurhr.quadforms import intersection_form, is_weak_hr
 from schurhr.realroots import count_distinct_real_roots, has_only_real_roots
 
@@ -106,24 +106,55 @@ def test_minor_walk_finds_the_first_negative_shape():
 
 
 def test_window_walk_checks_every_minor():
-    # the row-subset walk against one determinant per minor of the window;
-    # zeros make whole row sets vanish, which the walk prunes
+    # the forward walk stands in for the square window: by Littlewood-Richardson
+    # a window minor is a positive sum of shapes it visits, so any negative
+    # minor, found here one determinant at a time, must fail the sequence
     rng = random.Random(29)
-    verdicts = set()
+    negative = 0
     for _ in range(300):
         L = rng.randint(1, 5)
         mu = [rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(L)]
         T = [[{(): mu[i - j]} if i >= j and mu[i - j] else {} for j in range(L)]
              for i in range(L)]
-        want = all(
+        if any(
             kernels.det_terms([[T[r][c] for c in cols] for r in rows],
-                              kernels.mul_terms).get((), 0) >= 0
+                              kernels.mul_terms).get((), 0) < 0
             for k in range(1, L + 1)
             for rows in itertools.combinations(range(L), k)
-            for cols in itertools.combinations(range(L), k))
-        assert _base_window_minors_nonneg(mu) == want, mu
-        verdicts.add(want)
-    assert verdicts == {True, False}
+            for cols in itertools.combinations(range(L), k)
+        ):
+            negative += 1
+            assert not polya_check_minors(mu), mu
+    assert 0 < negative < 300
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.fractions(min_value=0, max_value=6, max_denominator=3),
+                min_size=1, max_size=6))
+@example([1, 7, 7, 2])  # reversed h < 0 from 13 on, past the width cap
+def test_minor_route_is_reversal_invariant(mus):
+    # the reversed sequence has no walk of its own; the verdict must not see it
+    assert polya_check_minors(mus) == polya_check_minors(mus[::-1])
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def test_reversal_complements_shapes_in_the_box():
+    # s_nu(1/x) (x_1...x_n)^N = s_nubar(x): the reversed virtual Schur
+    # determinant at nu has the sign of the forward one at the complement of
+    # nu in the n x N box, whatever the signs of the inner entries
+    rng = random.Random(83)
+    for _ in range(60):
+        n, N = rng.randint(1, 4), rng.randint(1, 4)
+        mu = ([rng.randint(1, 5)] + [rng.randint(-5, 5) for _ in range(n - 1)]
+              + [rng.randint(1, 5)])
+        fwd = _virtual_h(mu, N + n)
+        rev = _virtual_h(mu[::-1], N + n)
+        for nu in partitions_in_box(N, n):
+            want = _sign(_jt_det(fwd, dual_in_box(nu, N, n).padded(n)))
+            assert _sign(_jt_det(rev, nu.padded(n))) == want, (mu, nu)
 
 
 def test_routes_agree_on_log_concave_traps():
