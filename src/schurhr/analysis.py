@@ -530,6 +530,18 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
+def _derivatives(p, order, j=0):
+    """[(alpha, d^alpha p)] for |alpha| = order on the variables from j on, in
+    the order of _compositions: one partial per edge of the prefix tree."""
+    chain = [p]
+    for _ in range(order):
+        chain.append(chain[-1].partial(j))
+    if j == p.nvars - 1:
+        return [((order,), chain[order])]
+    return [((first,) + rest, q) for first in range(order, -1, -1)
+            for rest, q in _derivatives(chain[first], order - first, j + 1)]
+
+
 def _strict_report(p, mode, epsilon):
     d = p.homogeneous_degree()
     if d < 2:
@@ -540,8 +552,8 @@ def _strict_report(p, mode, epsilon):
         sorted(mu for mu in _compositions(d, e) if p.terms.get(mu, 0) <= 0)
     )
     bad_h = []
-    for alpha in _compositions(d - 2, e):
-        t = inertia(p.hessian_of_partial(alpha))
+    for alpha, q in _derivatives(p, d - 2):
+        t = inertia(q.hessian_of_partial((0,) * e))  # q is quadratic
         if not (t.n_plus == 1 and t.n_zero == 0):
             bad_h.append((alpha, t))
     return LorentzianReport(
@@ -574,7 +586,7 @@ def _epsilon_shift(q, epsilon, box):
             for j in range(e)]
     shifted = q.scale(c).substitute(repl)
     scale = c * b ** q.homogeneous_degree()
-    return MultiPoly(e, {mu: Fraction(v, scale) for mu, v in shifted.terms.items()})
+    return MultiPoly(e, {mu: Fraction(v, scale) for mu, v in shifted.exps_terms().items()})
 
 
 def lorentzian_witness(p, epsilon):

@@ -240,11 +240,14 @@ def derived_schur_classes(lam, E, imax=None):
         E.twist + (1,),
     )
     s = schur_class(lam, lifted)
+    # the new factor's field sits above those of space, which aug shares
+    shift = aug.shifts[-1]
+    low = (1 << shift) - 1
     buckets = [{} for _ in range(imax + 1)]
-    for exps, c in s.terms.items():
-        i = exps[-1]
+    for key, c in s.terms.items():
+        i = key >> shift
         if i <= imax:
-            buckets[i][exps[:-1]] = c
+            buckets[i][key & low] = c
     # slices of a capped, canonical class are clean already
     return [CohClass._raw(space, terms) for terms in buckets]
 

@@ -4,6 +4,7 @@ The ring for factors (n_1, ..., n_k) is generated by the hyperplane
 pullbacks tau_1, ..., tau_k subject to tau_j^(n_j + 1) = 0; integration
 reads off the coefficient of the top monomial tau_1^n_1 * ... * tau_k^n_k.
 Classes are stored sparsely and truncated eagerly on multiplication.
+Terms are keyed by packed exponent vectors (Monagan and Pearce, CASC 2007).
 """
 
 from . import kernels
@@ -12,9 +13,14 @@ from .rationals import parse_q
 
 
 class Space:
-    """Product of projective spaces, given by the list of factor dimensions."""
+    """Product of projective spaces, given by the list of factor dimensions.
 
-    __slots__ = ("factors",)
+    It lays out the packed keys: factor j gets n_j.bit_length() + 1 bits at
+    ``shifts[j]``, from the low bits up, room for a sum of two exponents in
+    the cap.  Adding ``bias`` to a sum sets a ``guard`` bit where it exceeds n_j.
+    """
+
+    __slots__ = ("factors", "shifts", "bias", "guard", "top")
 
     def __init__(self, factors):
         factors = tuple(int(n) for n in factors)
@@ -22,7 +28,17 @@ class Space:
             raise ValueError("need at least one projective factor")
         if any(n < 1 for n in factors):
             raise ValueError(f"factor dimensions must be positive: {factors}")
-        object.__setattr__(self, "factors", factors)
+        shifts, bias, guard, s = [], 0, 0, 0
+        for n in factors:
+            h = 1 << n.bit_length()  # the guard bit of a field of 2h values
+            shifts.append(s)
+            bias += (h - 1 - n) << s
+            guard += h << s
+            s += n.bit_length() + 1
+        for name, value in [("factors", factors), ("shifts", tuple(shifts)),
+                            ("bias", bias), ("guard", guard)]:
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "top", self.pack(factors))
 
     def __setattr__(self, name, value):
         raise AttributeError("Space is immutable")
@@ -54,6 +70,14 @@ class Space:
     def from_json(cls, data):
         return cls(data["factors"])
 
+    def pack(self, exps):
+        """The key of an exponent tuple within the caps."""
+        return sum(x << s for x, s in zip(exps, self.shifts))
+
+    def unpack(self, key):
+        return tuple([(key >> s) & ((2 << n.bit_length()) - 1)
+                      for s, n in zip(self.shifts, self.factors)])
+
     def h11_basis(self):
         """The hyperplane classes (tau_1, ..., tau_k)."""
         return [CohClass.hyperplane(self, j) for j in range(self.k)]
@@ -79,20 +103,25 @@ class CohClass(kernels.TermElement):
         return space, space.k, space.factors
 
     def _mul(self, a, b):
-        return kernels.mul_terms_capped(a, b, self.space.factors)
+        return kernels.mul_terms_capped(a, b, self.space.bias, self.space.guard)
+
+    def _key(self, exps):
+        return self.space.pack(exps)
+
+    def _exps(self, key):
+        return self.space.unpack(key)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def unit(cls, space):
-        return cls._raw(space, {(0,) * space.k: 1})
+        return cls._raw(space, {0: 1})
 
     @classmethod
     def hyperplane(cls, space, j):
         if not 0 <= j < space.k:
             raise ValueError(f"factor index {j} out of range")
-        e = tuple(1 if i == j else 0 for i in range(space.k))
-        return cls._raw(space, {e: 1})
+        return cls._raw(space, {1 << space.shifts[j]: 1})
 
     @classmethod
     def linear(cls, space, coeffs):
@@ -100,20 +129,13 @@ class CohClass(kernels.TermElement):
         coeffs = [parse_q(c) for c in coeffs]
         if len(coeffs) != space.k:
             raise ValueError(f"need {space.k} coefficients")
-        terms = {}
-        for j, c in enumerate(coeffs):
-            if c:
-                terms[tuple(1 if i == j else 0 for i in range(space.k))] = c
-        return cls._raw(space, terms)
+        return cls._raw(space, {1 << s: c for s, c in zip(space.shifts, coeffs) if c})
 
     # -- queries -----------------------------------------------------------
 
-    def degrees(self):
-        return sorted({sum(e) for e in self.terms})
-
     def integrate(self):
         """Coefficient of the top monomial (zero on everything else)."""
-        return self.terms.get(self.space.factors, 0)
+        return self.terms.get(self.space.top, 0)
 
 
 def class_det(rows):
@@ -132,7 +154,5 @@ def class_det(rows):
         for x in r:
             first._check_ring(x)
     space = first.space
-    caps = space.factors
-    terms = kernels.det_terms([[x.terms for x in r] for r in rows],
-                              lambda a, b: kernels.mul_terms_capped(a, b, caps))
+    terms = kernels.det_terms([[x.terms for x in r] for r in rows], first._mul)
     return CohClass._raw(space, terms)

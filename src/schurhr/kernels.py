@@ -1,8 +1,9 @@
 """Term-arithmetic kernels, the one determinant over term dicts, and the
 ring-element class built on them.
 
-Terms are dicts mapping exponent tuples (plain ints, fixed length) to
-nonzero exact coefficients (int or Fraction).  The three multiply and
+Terms are dicts mapping monomials to nonzero exact coefficients (int or
+Fraction): exponent tuples for ``mul_terms``, packed ints (``cohomology``)
+for ``mul_terms_capped``, either for the rest.  The three multiply and
 accumulate functions are the hot inner loops of the whole package.
 """
 
@@ -38,21 +39,20 @@ def mul_terms(a, b):
     return out
 
 
-def mul_terms_capped(a, b, caps):
-    """Like mul_terms, but drops any monomial whose exponent exceeds caps."""
+def mul_terms_capped(a, b, bias, guard):
+    """Product of two term dicts keyed by packed exponents, without the
+    monomials past a cap: the ``bias`` and ``guard`` of ``cohomology.Space``."""
     if len(a) > len(b):
         a, b = b, a
     out = {}
     get = out.get
-    add = operator.add
-    le = operator.le
     bitems = list(b.items())
     for ea, ca in a.items():
-        room = tuple(map(operator.sub, caps, ea))
+        over = ea + bias
         for eb, cb in bitems:
-            if not all(map(le, eb, room)):
+            if (over + eb) & guard:
                 continue
-            key = tuple(map(add, ea, eb))
+            key = ea + eb
             c = ca * cb
             prev = get(key)
             if prev is None:
@@ -150,6 +150,8 @@ class TermElement:
       length and the per-variable caps past which a monomial is zero
       (``None`` when nothing is truncated);
     - ``_mul(a, b)``: the product of two term dicts in the ring;
+    - ``_key(exps)`` and ``_exps(key)``: the stored key of an exponent
+      tuple and back (the identity here, where tuples are the keys);
     - ``_mismatch``: the error raised for operands from different rings;
     - ``_letter``: the variable letter used when printing.
     """
@@ -158,6 +160,7 @@ class TermElement:
 
     def __init__(self, ring, terms=None):
         ring, width, caps = self._shape(ring)
+        object.__setattr__(self, "ring", ring)
         clean = {}
         if terms:
             for exps, c in terms.items():
@@ -170,10 +173,10 @@ class TermElement:
                     continue  # past the truncation: zero in the ring
                 c = canon(c)
                 if c:
-                    clean[exps] = clean.get(exps, 0) + c
-                    if not clean[exps]:
-                        del clean[exps]
-        object.__setattr__(self, "ring", ring)
+                    key = self._key(exps)
+                    clean[key] = clean.get(key, 0) + c
+                    if not clean[key]:
+                        del clean[key]
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -189,7 +192,7 @@ class TermElement:
 
     def __reduce__(self):
         # pickle and copy rebuild through the constructor, past the guard
-        return type(self), (self.ring, self.terms)
+        return type(self), (self.ring, self.exps_terms())
 
     @classmethod
     def zero(cls, ring):
@@ -198,8 +201,12 @@ class TermElement:
     @classmethod
     def constant(cls, c, ring):
         """c times the unit of the ring."""
-        c = canon(c)
-        return cls._raw(ring, {(0,) * cls._shape(ring)[1]: c} if c else {})
+        return cls(ring, {(0,) * cls._shape(ring)[1]: c})
+
+    def _key(self, exps):
+        return exps
+
+    _exps = _key
 
     # -- queries -------------------------------------------------------------
 
@@ -210,26 +217,31 @@ class TermElement:
     def coefficient(self, exps):
         """Coefficient of the monomial with the given exponents (0 if absent)."""
         exps = tuple(int(x) for x in exps)
-        width = self._shape(self.ring)[1]
+        _, width, caps = self._shape(self.ring)
         if len(exps) != width:
             raise ValueError(f"exponent {exps} does not have length {width}")
-        return self.terms.get(exps, 0)
+        if min(exps, default=0) < 0 or caps and any(map(operator.gt, exps, caps)):
+            return 0  # not stored; a key past a cap would alias another
+        return self.terms.get(self._key(exps), 0)
+
+    def exps_terms(self):
+        """The terms keyed by exponent tuples, whatever the stored keys."""
+        exps = self._exps
+        return {exps(key): c for key, c in self.terms.items()}
+
+    def degrees(self):
+        """The distinct degrees of the terms, ascending."""
+        return sorted({sum(self._exps(key)) for key in self.terms})
 
     def homogeneous_degree(self):
         """Common degree of all terms; raises if not homogeneous.
 
         The zero element is homogeneous of every degree; returns -1.
         """
-        degs = {sum(e) for e in self.terms}
-        if not degs:
-            return -1
+        degs = self.degrees()
         if len(degs) > 1:
-            raise DegreeMismatchError(f"not homogeneous: degrees {sorted(degs)}")
-        return degs.pop()
-
-    @property
-    def is_homogeneous(self):
-        return len({sum(e) for e in self.terms}) <= 1
+            raise DegreeMismatchError(f"not homogeneous: degrees {degs}")
+        return degs[0] if degs else -1
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -308,7 +320,7 @@ class TermElement:
 
     def sorted_terms(self):
         """Terms in canonical (graded-lex descending) order."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+        return sorted(self.exps_terms().items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
 
     def __str__(self):
         return fmt_terms(self.sorted_terms(), self._letter)

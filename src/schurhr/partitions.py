@@ -13,7 +13,8 @@ class Partition:
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
             parts = parts.parts
-        parts = tuple(int(p) for p in parts)
+        # from a list: tuple(generator) takes ten slots and shrinks, piling up free tuples
+        parts = tuple([int(p) for p in parts])
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"parts must be weakly decreasing: {parts}")
@@ -137,7 +138,7 @@ def partitions_in_box(e, N):
 def ssyt_count(shape, weight):
     """Number of semistandard Young tableaux of the given shape and content.
 
-    Exhaustive enumeration; intended as an exact oracle at desk scale.
+    Enumeration of the fillings with that content; an exact oracle at desk scale.
     """
     shape = Partition(shape)
     weight = [int(w) for w in weight]
@@ -147,7 +148,7 @@ def ssyt_count(shape, weight):
         raise ValueError(
             f"weight sum {sum(weight)} does not match shape weight {shape.weight}"
         )
-    return ssyt_weight_counts(shape, len(weight)).get(tuple(weight), 0)
+    return _fillings(shape, len(weight), weight).get(tuple(weight), 0)
 
 
 def ssyt_weight_counts(shape, maxval):
@@ -156,6 +157,11 @@ def ssyt_weight_counts(shape, maxval):
     Backtracking fill of the Young diagram, column-strict down and weakly
     increasing along rows, binning every filling by its weight.
     """
+    return _fillings(shape, maxval, None)
+
+
+def _fillings(shape, maxval, target):
+    # with a target content, a letter is pruned once its count reaches it
     shape = Partition(shape)
     if shape.weight == 0:
         return {(0,) * maxval: 1}
@@ -179,6 +185,8 @@ def ssyt_weight_counts(shape, maxval):
         if r > 0:
             lo = max(lo, grid[r - 1][c] + 1)
         for v in range(lo, maxval + 1):
+            if target is not None and weight[v - 1] == target[v - 1]:
+                continue
             grid[r][c] = v
             weight[v - 1] += 1
             place(k + 1)

@@ -58,16 +58,11 @@ def intersection_form(omega, space=None):
         space = omega.space
     elif omega.space != space:
         raise SpaceMismatchError(f"{omega.space!r} vs {space!r}")
-    if omega.is_zero:
-        pass
-    elif not omega.is_homogeneous:
-        raise DegreeMismatchError(
-            f"class has mixed degrees {omega.degrees()}, expected {space.dim - 2}"
-        )
-    elif omega.homogeneous_degree() != space.dim - 2:
-        raise DegreeMismatchError(
-            f"class has degree {omega.homogeneous_degree()}, expected {space.dim - 2}"
-        )
+    degs = omega.degrees()
+    if len(degs) > 1:
+        raise DegreeMismatchError(f"class has mixed degrees {degs}, expected {space.dim - 2}")
+    if degs and degs[0] != space.dim - 2:
+        raise DegreeMismatchError(f"class has degree {degs[0]}, expected {space.dim - 2}")
     # integral of tau_i * omega * tau_j: omega's coefficient at top - e_i - e_j
     top = space.factors
     k = space.k
@@ -77,8 +72,7 @@ def intersection_form(omega, space=None):
             exps = list(top)
             exps[i] -= 1
             exps[j] -= 1
-            if min(exps) >= 0:
-                mat[i][j] = mat[j][i] = omega.terms.get(tuple(exps), 0)
+            mat[i][j] = mat[j][i] = omega.coefficient(exps)  # 0 off the box
     return tuple(tuple(row) for row in mat)
 
 

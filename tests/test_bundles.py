@@ -186,6 +186,23 @@ def test_derived_classes_satisfy_twist_rule(inst):
     assert rhs == char_class(schur_jt(lam, E.rank), E.twisted_by(delta))
 
 
+@settings(max_examples=40, deadline=None)
+@given(_twisted_instances())
+def test_derived_slices_by_packed_field_match_tuple_slices(inst):
+    # derived_schur_classes cuts the packed keys at the extra factor's
+    # field; cutting the exponent tuples of the same class must agree
+    E, lam, _ = inst
+    X = E.space
+    m = max(sum(lam), 1)
+    aug = Space(X.factors + (m,))
+    lifted = SplitBundle(aug, [line + (0,) for line in E.lines], E.twist + (1,))
+    slices = [{} for _ in range(sum(lam) + 1)]
+    for exps, c in schur_class(lam, lifted).exps_terms().items():
+        slices[exps[-1]][exps[:-1]] = c
+    assert [c.exps_terms() for c in derived_schur_classes(lam, E)] == slices
+    assert aug.shifts[:-1] == X.shifts
+
+
 def test_schur_class_multiplies_integers_only(monkeypatch):
     X = Space([2, 3, 1])
     E = SplitBundle(X, [(1, 0, 2), (0, 2, 1), (2, 1, 0)],
@@ -195,9 +212,9 @@ def test_schur_class_multiplies_integers_only(monkeypatch):
     seen = []
     original = kernels.mul_terms_capped
 
-    def spy(a, b, caps):
+    def spy(a, b, bias, guard):
         seen.extend(c for terms in (a, b) for c in terms.values())
-        return original(a, b, caps)
+        return original(a, b, bias, guard)
 
     monkeypatch.setattr(kernels, "mul_terms_capped", spy)
     got = schur_class(lam, E)

@@ -4,13 +4,16 @@ import gc
 import random
 from fractions import Fraction
 
-from schurhr import kernels
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from schurhr import Space, kernels
 
 
-def _rand_terms(rng, nvars, nterms, rational=False):
+def _rand_terms(rng, nvars, nterms, rational=False, caps=None):
     out = {}
     for _ in range(nterms):
-        e = tuple(rng.randint(0, 4) for _ in range(nvars))
+        e = tuple(rng.randint(0, 4 if caps is None else caps[j]) for j in range(nvars))
         c = (
             Fraction(rng.randint(-9, 9), rng.randint(1, 5))
             if rational
@@ -41,14 +44,53 @@ def test_mul_terms_matches_oracle():
         assert kernels.mul_terms(a, b) == _oracle_mul(a, b)
 
 
+def _capped_mul(a, b, caps):
+    # the packed kernel, on operands and product keyed by exponent tuples
+    X = Space(caps)
+    a, b = ({X.pack(e): c for e, c in t.items()} for t in (a, b))
+    out = kernels.mul_terms_capped(a, b, X.bias, X.guard)
+    return {X.unpack(key): c for key, c in out.items()}
+
+
 def test_mul_terms_capped_matches_oracle():
     rng = random.Random(2)
     for trial in range(200):
         nvars = rng.randint(1, 5)
-        caps = tuple(rng.randint(0, 5) for _ in range(nvars))
-        a = _rand_terms(rng, nvars, rng.randint(0, 8))
-        b = _rand_terms(rng, nvars, rng.randint(0, 8), rational=trial % 2 == 0)
-        assert kernels.mul_terms_capped(a, b, caps) == _oracle_mul(a, b, caps)
+        caps = tuple(rng.randint(1, 5) for _ in range(nvars))
+        a = _rand_terms(rng, nvars, rng.randint(0, 8), caps=caps)
+        b = _rand_terms(rng, nvars, rng.randint(0, 8), rational=trial % 2 == 0, caps=caps)
+        assert _capped_mul(a, b, caps) == _oracle_mul(a, b, caps)
+
+
+# caps at 2^k - 1 fill their field's low bits; caps at 2^k widen it by one
+_caps = st.lists(st.integers(1, 4).flatmap(lambda k: st.sampled_from([2 ** k - 1, 2 ** k])),
+                 min_size=1, max_size=5)
+
+
+@st.composite
+def _caps_and_terms(draw):
+    caps = draw(_caps)
+    terms = st.dictionaries(st.tuples(*(st.integers(0, n) for n in caps)),
+                            st.fractions(min_value=-3, max_value=3, max_denominator=3)
+                            .filter(bool), max_size=6)
+    return caps, draw(terms), draw(terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_caps_and_terms())
+def test_packed_capped_mul_matches_oracle(case):
+    caps, a, b = case
+    assert _capped_mul(a, b, caps) == _oracle_mul(a, b, caps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_caps.flatmap(lambda caps: st.tuples(st.just(caps), st.tuples(
+    *(st.integers(0, n) for n in caps)))))
+def test_unpack_inverts_pack(case):
+    caps, e = case
+    X = Space(caps)
+    assert X.unpack(X.pack(e)) == e
+    assert X.pack(caps) == X.top
 
 
 def test_add_scaled_matches_oracle():
@@ -69,7 +111,7 @@ def test_add_scaled_matches_oracle():
 def test_capped_mul_drops_overflow():
     a = {(2, 0): 1, (0, 1): 1}
     b = {(1, 0): 1}
-    assert kernels.mul_terms_capped(a, b, (2, 1)) == {(1, 1): 1}
+    assert _capped_mul(a, b, (2, 1)) == {(1, 1): 1}
 
 
 def test_cancellation_removes_entries():

@@ -99,6 +99,15 @@ def test_ssyt_count_symmetric_in_weight():
             assert ssyt_count(lam, perm) == ref
 
 
+def test_ssyt_count_matches_the_full_tally():
+    # ssyt_count stops a letter at its content; the unpruned search bins all
+    for lam in partitions_up_to(5):
+        for maxval in (3, 4):
+            for content, n in ssyt_weight_counts(lam, maxval).items():
+                assert ssyt_count(lam, content) == n
+    assert ssyt_count((4, 3, 2), (2, 2, 1, 1, 1, 1, 1)) == 50
+
+
 def test_ssyt_weight_counts_totals():
     # the number of tableaux with entries <= m equals the sum over contents
     counts = ssyt_weight_counts((2, 1), 3)
