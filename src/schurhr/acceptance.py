@@ -500,11 +500,9 @@ def _crit11_lor_one(args):
     seed, i = args
     lam, e = _CRIT11_CASES[i]
     p = schur.schur_jt(lam, e).normalize()
-    rep = analysis.lorentzian_check(p, "perturbed", Fraction(1, 100))
+    rep, _ = analysis.lorentzian_certify(p, Fraction(1, 100))
     if not rep.ok:
-        rep = analysis.lorentzian_check(p, "perturbed", Fraction(1, 1000))
-        if not rep.ok:
-            return [f"perturbed certification fails: lam={list(lam.parts)}, e={e}"]
+        return [f"perturbed certification fails: lam={list(lam.parts)}, e={e}"]
     return []
 
 

@@ -101,7 +101,6 @@ def monomial_positivity(bundles, lams, orders):
     if not bundles:
         raise ValueError("need at least one bundle")
     space = bundles[0].space
-    total_deg = 0
     for E in bundles:
         if E.space != space:
             raise PreconditionError("bundles live on different spaces")
@@ -596,10 +595,7 @@ def lorentzian_witness(p, epsilon):
     variable by epsilon times the variable sum in the ring truncated to the
     box (the shift piles exponents above it; those coefficients never enter
     the quadratic slices), mirror back and normalize.  The shift runs over the
-    integers: for epsilon = a/b, the mirror q of degree D and c the lcm of
-    its coefficient denominators, c * b^D * q(x + epsilon * sum(x)) equals
-    (c * q)(b * x + a * sum(x)), and c * b^D is divided out once per kept
-    term.
+    integers; ``_epsilon_shift`` says how.
     """
     epsilon = parse_q(epsilon)
     d = p.homogeneous_degree()
@@ -624,6 +620,16 @@ def lorentzian_check(p, mode="strict", epsilon=Fraction(1, 100)):
         epsilon = parse_q(epsilon)
         return _strict_report(lorentzian_witness(p, epsilon), "perturbed", epsilon)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def lorentzian_certify(p, epsilon):
+    """Perturbed certification at epsilon, tried once more at epsilon / 10
+    when it fails; returns the report and whether the retry ran."""
+    epsilon = parse_q(epsilon)
+    rep = lorentzian_check(p, "perturbed", epsilon)
+    if rep.ok:
+        return rep, False
+    return lorentzian_check(p, "perturbed", Fraction(epsilon, 10)), True
 
 
 # ---------------------------------------------------------------------------
@@ -651,17 +657,8 @@ def lemma_bridge_check(p, eprime, alpha):
     if eprime < max(p.per_variable_degrees(), default=0):
         raise PreconditionError("eprime must bound every per-variable degree")
     q = p.box_reverse(eprime)
-    beta = tuple(eprime - a for a in alpha)
-    mat = []
-    for i in range(e):
-        row = []
-        for j in range(e):
-            exps = list(beta)
-            exps[i] -= 1
-            exps[j] -= 1
-            row.append(q.coefficient(exps) if min(exps) >= 0 else 0)
-        mat.append(tuple(row))
-    return p.normalize().hessian_of_partial(alpha) == tuple(mat)
+    beta = [eprime - a for a in alpha]
+    return p.normalize().hessian_of_partial(alpha) == q.coefficient_matrix(beta)
 
 
 def hessian_vs_intersection(lam, e, N, alpha, epsilon):
@@ -672,9 +669,7 @@ def hessian_vs_intersection(lam, e, N, alpha, epsilon):
     the total hyperplane class, and compares the intersection form of the
     box-dual Schur class against the Hessian of the corresponding
     alpha-partial of the normalized perturbed mirror polynomial.  The
-    perturbation is the integer epsilon-shift of ``lorentzian_witness``:
-    for epsilon = a/b and s of degree D with integer coefficients,
-    b^D * s(x + epsilon * sum(x)) = s(b * x + a * sum(x)).
+    perturbation is the integer epsilon-shift of ``lorentzian_witness``.
     """
     lam = Partition(lam)
     e, N = int(e), int(N)

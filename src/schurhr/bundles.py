@@ -162,25 +162,7 @@ def char_class(p, E):
         )
     if not p.is_symmetric():
         raise ValueError("characteristic classes need a symmetric polynomial")
-    space = E.space
-    roots = E.chern_roots()
-    maxdeg = p.per_variable_degrees()
-    powers = []
-    for j, root in enumerate(roots):
-        col = [CohClass.unit(space)]
-        for _ in range(maxdeg[j]):
-            col.append(col[-1] * root)
-        powers.append(col)
-    total = CohClass.zero(space)
-    for exps, c in p.terms.items():
-        prod = CohClass.unit(space)
-        for j, x in enumerate(exps):
-            if x:
-                prod = prod * powers[j][x]
-                if prod.is_zero:
-                    break
-        total = total + prod.scale(c)
-    return total
+    return p.substitute(E.chern_roots())
 
 
 def schur_class(lam, E):

@@ -356,13 +356,11 @@ def _cmd_polya(args, cfg):
 
 def _cmd_lorentzian(args, cfg):
     p = _load_poly(args)
-    rep = analysis.lorentzian_check(p, args.mode, parse_q(args.epsilon))
-    retried = False
-    if not rep.ok and args.mode == "perturbed":
-        rep = analysis.lorentzian_check(
-            p, "perturbed", parse_q(args.epsilon) / 10
-        )
-        retried = True
+    epsilon = parse_q(args.epsilon)
+    if args.mode == "perturbed":
+        rep, retried = analysis.lorentzian_certify(p, epsilon)
+    else:
+        rep, retried = analysis.lorentzian_check(p, "strict"), False
     payload = rep.to_json()
     payload["retried_at_epsilon_over_10"] = retried
     _emit(payload, args)

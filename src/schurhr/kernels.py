@@ -224,6 +224,18 @@ class TermElement:
             return 0  # not stored; a key past a cap would alias another
         return self.terms.get(self._key(exps), 0)
 
+    def coefficient_matrix(self, corner):
+        """Symmetric matrix of the coefficients at corner - e_i - e_j."""
+        k = len(corner)
+        mat = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                exps = list(corner)
+                exps[i] -= 1
+                exps[j] -= 1
+                mat[i][j] = mat[j][i] = self.coefficient(exps)
+        return tuple(tuple(row) for row in mat)
+
     def exps_terms(self):
         """The terms keyed by exponent tuples, whatever the stored keys."""
         exps = self._exps

@@ -5,8 +5,9 @@ float and never stored when zero.  The canonical term order is graded
 lexicographic (descending), used for serialization and printing.
 """
 
+import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from . import kernels
 from .errors import DegreeMismatchError
@@ -152,23 +153,15 @@ class MultiPoly(kernels.TermElement):
         """Divide each coefficient by the factorial of its exponent vector."""
         out = {}
         for e, c in self.terms.items():
-            f = 1
-            for x in e:
-                if x > 1:
-                    f *= factorial(x)
+            f = _exps_factorial(e)
             out[e] = canon(Fraction(c) / f) if f > 1 else c
         return MultiPoly._raw(self.nvars, out)
 
     def denormalize(self):
         """Inverse of normalize: multiply coefficients by exponent factorials."""
-        out = {}
-        for e, c in self.terms.items():
-            f = 1
-            for x in e:
-                if x > 1:
-                    f *= factorial(x)
-            out[e] = canon(c * f)
-        return MultiPoly._raw(self.nvars, out)
+        return MultiPoly._raw(
+            self.nvars, {e: canon(c * _exps_factorial(e)) for e, c in self.terms.items()}
+        )
 
     def box_reverse(self, eprime):
         """Mirror exponents inside the box [0, eprime]^nvars.
@@ -226,22 +219,19 @@ class MultiPoly(kernels.TermElement):
         return True
 
 
+def _exps_factorial(exps):
+    """x_1! * ... * x_n! for an exponent vector."""
+    return prod(map(factorial, exps))
+
+
 def elementary(i, e):
-    """i-th elementary symmetric polynomial in e variables.
+    """i-th elementary symmetric polynomial in e variables: the sum of its
+    squarefree monomials of degree i.
 
     Zero outside 0 <= i <= e; the constant 1 at i = 0.
     """
     i, e = int(i), int(e)
     if i < 0 or i > e:
         return MultiPoly.zero(e)
-    if i == 0:
-        return MultiPoly.one(e)
-    terms = {}
-    # iterative Pascal-style build keeps this linear in the output size
-    rows = [{(0,) * e: 1}] + [{} for _ in range(i)]
-    for j in range(e):
-        xj = tuple(1 if k == j else 0 for k in range(e))
-        for p in range(min(i, j + 1), 0, -1):
-            extra = kernels.mul_terms(rows[p - 1], {xj: 1})
-            kernels.add_scaled(rows[p], extra)
-    return MultiPoly._raw(e, rows[i])
+    supports = itertools.combinations(range(e), i)
+    return MultiPoly._raw(e, {tuple([int(j in s) for j in range(e)]): 1 for s in supports})

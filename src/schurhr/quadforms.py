@@ -64,16 +64,7 @@ def intersection_form(omega, space=None):
     if degs and degs[0] != space.dim - 2:
         raise DegreeMismatchError(f"class has degree {degs[0]}, expected {space.dim - 2}")
     # integral of tau_i * omega * tau_j: omega's coefficient at top - e_i - e_j
-    top = space.factors
-    k = space.k
-    mat = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            exps = list(top)
-            exps[i] -= 1
-            exps[j] -= 1
-            mat[i][j] = mat[j][i] = omega.coefficient(exps)  # 0 off the box
-    return tuple(tuple(row) for row in mat)
+    return omega.coefficient_matrix(space.factors)
 
 
 def inertia(m):

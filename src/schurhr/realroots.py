@@ -62,9 +62,8 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
-def count_distinct_real_roots(p):
-    """Number of distinct real roots, via a Sturm chain over (-inf, inf)."""
-    p = squarefree_part([parse_q(x) for x in p])
+def _sturm_count(p):
+    """Distinct real roots of a squarefree p: its Sturm chain over (-inf, inf)."""
     if len(p) <= 1:
         return 0
     chain = [p, _strip(_derivative(p))]
@@ -85,6 +84,11 @@ def count_distinct_real_roots(p):
     return _variations(lo) - _variations(hi)
 
 
+def count_distinct_real_roots(p):
+    """Number of distinct real roots."""
+    return _sturm_count(squarefree_part([parse_q(x) for x in p]))
+
+
 def has_only_real_roots(p):
     """True iff every complex root of p is real.
 
@@ -96,4 +100,4 @@ def has_only_real_roots(p):
     if len(p) <= 1:
         return True
     sf = squarefree_part(p)
-    return count_distinct_real_roots(sf) == len(sf) - 1
+    return _sturm_count(sf) == len(sf) - 1

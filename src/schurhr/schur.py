@@ -109,14 +109,10 @@ def dual_reversal_check(lam, e, N):
 
 # -- symbolic identities for small weights ---------------------------------
 
-def _c(i, e):
-    return elementary(i, e)
-
-
 def _low_degree_identities(e):
     """The closed forms of every derived Schur polynomial of weight <= 3."""
     one = MultiPoly.one(e)
-    c1, c2, c3 = _c(1, e), _c(2, e), _c(3, e)
+    c1, c2, c3 = [elementary(i, e) for i in (1, 2, 3)]
     return [
         ("s(1)", (1,), 0, c1),
         ("s(1)^1", (1,), 1, e * one),
@@ -187,8 +183,7 @@ def to_elementary_basis(p):
         key = tuple(padded[i] - padded[i + 1] for i in range(e))
         prod = MultiPoly.one(e)
         for i, k in enumerate(key):
-            for _ in range(k):
-                prod = prod * elems[i + 1]
+            prod = prod * elems[i + 1] ** k
         out[key] = c
         rest = rest - c * prod
     return out

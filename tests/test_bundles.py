@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurhr import kernels
+from schurhr import bundles, cohomology, kernels
 from schurhr.bundles import (SplitBundle, char_class, chern, chern_all,
                              chern_twist_rule, class_is_nef,
                              derived_schur_class, derived_schur_classes,
@@ -88,6 +88,21 @@ def test_char_class_examples():
     assert char_class(s111, E) == expected
     assert schur_class((1, 1, 1), E) == expected
     assert schur_class((4,), E).is_zero  # first part above the rank
+
+
+def test_char_class_reaches_no_determinant_route(monkeypatch):
+    X = Space([2, 3])
+    E = SplitBundle(X, [(1, 0), (0, 2), (1, 1)], (Fraction(1, 2), Fraction(2, 3)))
+    lam = (2, 1, 1)
+    want = schur_class(lam, E)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("char_class left the root evaluation")
+
+    for name in ("chern_all", "class_det", "schur_class"):
+        monkeypatch.setattr(bundles, name, forbidden)
+    monkeypatch.setattr(cohomology, "class_det", forbidden)
+    assert char_class(schur_jt(lam, E.rank), E) == want
 
 
 def test_char_class_rejects_asymmetric():

@@ -143,6 +143,26 @@ def test_lorentzian_subcommand():
     assert json.loads(r.stdout)["ok"] is True
 
 
+def test_lorentzian_reports_whether_it_retried(capsys, fail_first_lorentzian_check):
+    argv = ["lorentzian", "--lambda", "2,1", "--vars", "3", "--epsilon", "1/50"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True and payload["epsilon"] == "1/500"
+    assert payload["retried_at_epsilon_over_10"] is True
+    assert cli.main(argv) == 0  # only the first call was made to fail
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True and payload["epsilon"] == "1/50"
+    assert payload["retried_at_epsilon_over_10"] is False
+
+
+def test_lorentzian_retries_at_epsilon_zero(capsys):
+    argv = ["lorentzian", "--lambda", "2,1", "--vars", "3", "--epsilon", "0"]
+    assert cli.main(argv) == cli.CHECK_VIOLATION
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and payload["epsilon"] == "0"
+    assert payload["retried_at_epsilon_over_10"] is True
+
+
 def test_lorentzian_expect_pass_exit_code():
     r = run(
         "lorentzian", "--lambda", "1,1", "--vars", "2", "--mode", "strict",

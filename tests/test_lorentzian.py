@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurhr import acceptance
 from schurhr.analysis import (hessian_vs_intersection, lemma_bridge_check,
-                              lorentzian_check, lorentzian_witness)
+                              lorentzian_certify, lorentzian_check,
+                              lorentzian_witness)
 from schurhr.errors import DegreeMismatchError, PreconditionError
 from schurhr.partitions import partitions_of
 from schurhr.polyring import MultiPoly
@@ -122,6 +124,27 @@ def test_epsilon_shift_substitutes_integers_only(monkeypatch):
     assert lorentzian_witness(p, Fraction(7, 997)) == want
     assert hessian_vs_intersection((2, 1), 2, 3, (1, 0), Fraction(7, 997))
     assert seen and all(type(c) is int for c in seen)
+
+
+def test_certify_retries_once_at_a_tenth_of_epsilon():
+    p = schur_jt((2, 1), 2).normalize()
+    first = lorentzian_check(p, "perturbed", Fraction(1, 100))
+    assert first.ok and lorentzian_certify(p, Fraction(1, 100)) == (first, False)
+    # p itself is not strictly Lorentzian, so epsilon = 0 fails twice
+    rep, retried = lorentzian_certify(p, 0)
+    assert retried and not rep.ok and rep.epsilon == 0
+
+
+def test_certify_passes_on_the_retry(fail_first_lorentzian_check):
+    p = schur_jt((2, 1), 2).normalize()
+    rep, retried = lorentzian_certify(p, Fraction(1, 100))
+    assert retried and rep.ok and rep.epsilon == Fraction(1, 1000)
+    assert fail_first_lorentzian_check == [Fraction(1, 100), Fraction(1, 1000)]
+
+
+def test_criterion_11_instance_passes_on_the_retry(fail_first_lorentzian_check):
+    assert acceptance._crit11_lor_one((acceptance.DEFAULT_SEED, 0)) == []
+    assert fail_first_lorentzian_check == [Fraction(1, 100), Fraction(1, 1000)]
 
 
 def test_perturbed_certification_across_shapes():

@@ -67,6 +67,18 @@ def test_elementary_basics():
     assert elementary(0, 2) == MultiPoly.one(2)
 
 
+def test_elementary_is_a_coefficient_of_the_product():
+    # e_i(x) is the t^i coefficient of prod_j (1 + t * x_j); t is variable e
+    for e in range(6):
+        t = MultiPoly.variable(e, e + 1)
+        prod = MultiPoly.one(e + 1)
+        for j in range(e):
+            prod = prod * (1 + t * MultiPoly.variable(j, e + 1))
+        for i in range(-1, e + 2):
+            want = {exps[:e]: c for exps, c in prod.terms.items() if exps[e] == i}
+            assert elementary(i, e) == P(e, want), (i, e)
+
+
 def test_evaluate():
     p = P(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert p.evaluate([1, 1]) == 3
@@ -94,6 +106,19 @@ def test_coefficient_extraction():
     assert p.coefficient((1, 1)) == 1
     assert P(2, {(2, 0): 1}).coefficient((0, 2)) == 0
     assert P(2, {(1, 2): 3}).coefficient((1, 2)) == 3
+
+
+def test_coefficient_matrix_reads_zero_off_the_monomials():
+    p = P(2, {(0, 0): 2, (1, 0): 3, (0, 1): 5, (1, 1): 7})
+    # corner - e_i - e_j has a negative entry on the diagonal
+    assert p.coefficient_matrix((1, 1)) == ((0, 2), (2, 0))
+    assert p.coefficient_matrix((2, 1)) == ((5, 3), (3, 0))
+    X = Space([1, 2])
+    c = CohClass(X, {(0, 0): 11, (1, 0): 3, (0, 2): 5, (1, 2): 7})
+    assert c.coefficient_matrix((0, 2)) == ((0, 0), (0, 11))
+    # (2, 1) and (3, 0) lie past the cap of the first factor
+    assert c.coefficient_matrix((3, 2)) == ((7, 0), (0, 0))
+    assert c.coefficient_matrix(X.factors) == ((0, 0), (0, 3))
 
 
 def test_normalize():
