@@ -35,7 +35,7 @@ class Sequence:
     start: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(canon(parse_q(v)) for v in self.values))
+        object.__setattr__(self, "values", tuple(parse_q(v) for v in self.values))
 
     def to_json(self):
         return {
@@ -68,12 +68,60 @@ def is_ultra_log_concave(values):
     is log-concave (implies plain log-concavity for binomial-type data)."""
     vals = [parse_q(v) for v in values]
     e = len(vals) - 1
-    if any(v < 0 for v in vals):
-        return False
-    normed = [Fraction(v) / comb(e, i) for i, v in enumerate(vals)]
-    return all(
-        normed[i - 1] * normed[i + 1] <= normed[i] ** 2 for i in range(1, e)
-    )
+    return is_log_concave([Fraction(v, comb(e, i)) for i, v in enumerate(vals)])
+
+
+# ---------------------------------------------------------------------------
+# hypotheses of the theorems, one check each
+
+
+def _nef_space(*bundles):
+    """The space that every bundle lives on; each must be nef."""
+    space = bundles[0].space
+    if any(E.space != space for E in bundles):
+        raise PreconditionError("bundles live on different spaces")
+    if not all(E.is_nef() for E in bundles):
+        raise PreconditionError("bundle is not nef")
+    return space
+
+
+def _check_nef_class(h):
+    if not class_is_nef(h):
+        raise PreconditionError("h is not nef")
+
+
+def _check_weight(lam, want, label):
+    if lam.weight != want:
+        raise DegreeMismatchError(f"|lam| = {lam.weight}, expected {label} = {want}")
+
+
+def _nonnegative_points(*points):
+    """Each point parsed to rationals; all must be coordinatewise nonnegative."""
+    points = [[parse_q(v) for v in x] for x in points]
+    if any(v < 0 for x in points for v in x):
+        noun = "points" if len(points) > 1 else "point"
+        raise PreconditionError(f"{noun} must be coordinatewise nonnegative")
+    return points
+
+
+def _lorentzian_degree(p):
+    """The degree d of a nonzero homogeneous p; a Lorentzian test needs d >= 2."""
+    if p.is_zero:
+        raise PreconditionError("the polynomial is zero")
+    d = p.homogeneous_degree()
+    if d < 2:
+        raise PreconditionError("need a homogeneous polynomial of degree >= 2")
+    return d
+
+
+def _check_alpha(alpha, e, total):
+    """alpha as a tuple of e nonnegative ints summing to total."""
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != e or any(a < 0 for a in alpha):
+        raise PreconditionError(f"alpha must be {e} nonnegative integers")
+    if sum(alpha) != total:
+        raise DegreeMismatchError(f"|alpha| = {sum(alpha)}, expected {total}")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +136,7 @@ def fl_positivity(E, lam, i):
     """
     lam = Partition(lam)
     i = int(i)
-    if not E.is_nef():
-        raise PreconditionError("bundle is not nef")
-    d = E.space.dim
-    if lam.weight != d + i:
-        raise DegreeMismatchError(f"|lam| = {lam.weight}, expected dim + i = {d + i}")
+    _check_weight(lam, _nef_space(E).dim + i, "dim + i")
     return derived_schur_class(lam, i, E).integrate()
 
 
@@ -100,12 +144,7 @@ def monomial_positivity(bundles, lams, orders):
     """Integral of a product of derived Schur classes of nef bundles."""
     if not bundles:
         raise ValueError("need at least one bundle")
-    space = bundles[0].space
-    for E in bundles:
-        if E.space != space:
-            raise PreconditionError("bundles live on different spaces")
-        if not E.is_nef():
-            raise PreconditionError("bundle is not nef")
+    space = _nef_space(*bundles)
     lams = [Partition(l) for l in lams]
     orders = [int(i) for i in orders]
     if not len(bundles) == len(lams) == len(orders):
@@ -163,13 +202,9 @@ def schur_hodge_improved_check(E, h, lam, alpha):
     slice.
     """
     lam = Partition(lam)
-    d = E.space.dim
-    if lam.weight != d - 1:
-        raise DegreeMismatchError(f"|lam| = {lam.weight}, expected dim - 1 = {d - 1}")
-    if not E.is_nef():
-        raise PreconditionError("bundle is not nef")
-    if not class_is_nef(h):
-        raise PreconditionError("h is not nef")
+    _check_weight(lam, E.space.dim - 1, "dim - 1")
+    _nef_space(E)
+    _check_nef_class(h)
     classes = derived_schur_classes(lam, E, imax=1)
     s0, s1 = classes[0], classes[1]
     lhs = canon((alpha * alpha * s1).integrate() * (h * s0).integrate())
@@ -184,11 +219,7 @@ def schur_hodge_improved_check(E, h, lam, alpha):
 def kt_sequence(E, F, lam, mu):
     """i -> int s_lam^(|lam|+|mu|-dim-i)(E) * s_mu^(i)(F) over its support."""
     lam, mu = Partition(lam), Partition(mu)
-    if E.space != F.space:
-        raise PreconditionError("bundles live on different spaces")
-    if not (E.is_nef() and F.is_nef()):
-        raise PreconditionError("both bundles must be nef")
-    d = E.space.dim
+    d = _nef_space(E, F).dim
     if lam.weight + mu.weight < d:
         raise PreconditionError(
             f"|lam| + |mu| = {lam.weight + mu.weight} must be at least dim = {d}"
@@ -207,11 +238,8 @@ def kt_sequence(E, F, lam, mu):
 
 def chern_power_sequence(E, h):
     """i -> int c_i(E) h^(dim - i), the rank-one-direction special case."""
-    if not E.is_nef():
-        raise PreconditionError("bundle is not nef")
-    if not class_is_nef(h):
-        raise PreconditionError("h is not nef")
-    d = E.space.dim
+    d = _nef_space(E).dim
+    _check_nef_class(h)
     cs = chern_all(E)
     values = []
     hp = [CohClass.unit(E.space)]
@@ -225,9 +253,7 @@ def chern_power_sequence(E, h):
 def derived_value_sequence(lam, x):
     """i -> s_lam^(i)(x) at a nonnegative rational point."""
     lam = Partition(lam)
-    x = [parse_q(v) for v in x]
-    if any(v < 0 for v in x):
-        raise PreconditionError("point must be coordinatewise nonnegative")
+    [x] = _nonnegative_points(x)
     polys = derived_all(lam, len(x))
     return Sequence(
         tuple(p.evaluate(x) for p in polys), provenance="derived-values", start=0
@@ -240,10 +266,7 @@ def pair_value_sequence(lam, mu, d, x, y):
     d = int(d)
     if d > lam.weight + mu.weight:
         raise PreconditionError("need d <= |lam| + |mu|")
-    x = [parse_q(v) for v in x]
-    y = [parse_q(v) for v in y]
-    if any(v < 0 for v in x) or any(v < 0 for v in y):
-        raise PreconditionError("points must be coordinatewise nonnegative")
+    x, y = _nonnegative_points(x, y)
     shift = lam.weight + mu.weight - d
     lo = max(0, -shift)
     hi = min(mu.weight, lam.weight - shift)
@@ -268,7 +291,7 @@ class PolyaSequence:
     values: tuple
 
     def __init__(self, values):
-        vals = tuple(canon(parse_q(v)) for v in values)
+        vals = tuple(parse_q(v) for v in values)
         if any(v < 0 for v in vals):
             raise ValueError("entries must be nonnegative")
         object.__setattr__(self, "values", vals)
@@ -432,13 +455,9 @@ def polya_check_roots(mus):
 def polya_combination_class(lam, E, h, mus):
     """sum_i mu_i s_lam^(i)(E) h^i for |lam| = dim - 2."""
     lam = Partition(lam)
-    d = E.space.dim
-    if lam.weight != d - 2:
-        raise DegreeMismatchError(f"|lam| = {lam.weight}, expected dim - 2 = {d - 2}")
-    if not E.is_nef():
-        raise PreconditionError("bundle is not nef")
-    if not class_is_nef(h):
-        raise PreconditionError("h is not nef")
+    _check_weight(lam, E.space.dim - 2, "dim - 2")
+    _nef_space(E)
+    _check_nef_class(h)
     mus = mus if isinstance(mus, PolyaSequence) else PolyaSequence(mus)
     derived = derived_schur_classes(lam, E)
     total = CohClass.zero(E.space)
@@ -457,13 +476,6 @@ def polya_combination_class(lam, E, h, mus):
 # the product-of-projective-planes convex mix example
 
 
-def convex_mix_form(E, t, lam_a, lam_b):
-    """Intersection form of (1-t) s_{lam_a}(E) + t s_{lam_b}(E)."""
-    t = parse_q(t)
-    omega = schur_class(lam_a, E).scale(1 - t) + schur_class(lam_b, E).scale(t)
-    return intersection_form(omega)
-
-
 def p2p3_convex_example(t):
     """The rank-3 bundle O(1,0) + O(1,0) + O(0,1) on P^2 x P^3, mixing the
     top Chern class with the full column Schur class.
@@ -475,7 +487,9 @@ def p2p3_convex_example(t):
     t = parse_q(t)
     space = Space([2, 3])
     E = SplitBundle(space, [(1, 0), (1, 0), (0, 1)])
-    mat = convex_mix_form(E, t, (3,), (1, 1, 1))
+    mat = intersection_form(
+        schur_class((3,), E).scale(1 - t) + schur_class((1, 1, 1), E).scale(t)
+    )
     expected = ((t, 2 * t), (2 * t, 1 + 2 * t))
     return {
         "t": t,
@@ -542,9 +556,7 @@ def _derivatives(p, order, j=0):
 
 
 def _strict_report(p, mode, epsilon):
-    d = p.homogeneous_degree()
-    if d < 2:
-        raise PreconditionError("need a homogeneous polynomial of degree >= 2")
+    d = _lorentzian_degree(p)
     e = p.nvars
     # a degree-d monomial that is not stored has coefficient zero
     bad_coeffs = tuple(
@@ -598,9 +610,7 @@ def lorentzian_witness(p, epsilon):
     integers; ``_epsilon_shift`` says how.
     """
     epsilon = parse_q(epsilon)
-    d = p.homogeneous_degree()
-    if d < 2:
-        raise PreconditionError("need a homogeneous polynomial of degree >= 2")
+    d = _lorentzian_degree(p)
     box = max(p.nvars, d)
     q = p.denormalize().box_reverse(box)
     return _epsilon_shift(q, epsilon, box).box_reverse(box).normalize()
@@ -644,15 +654,8 @@ def lemma_bridge_check(p, eprime, alpha):
 
     with q the mirror of p in the box of side eprime and beta = eprime - alpha.
     """
-    d = p.homogeneous_degree()
-    if d < 2:
-        raise PreconditionError("need a homogeneous polynomial of degree >= 2")
-    e = p.nvars
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != e or any(a < 0 for a in alpha):
-        raise PreconditionError(f"alpha must be {e} nonnegative integers")
-    if sum(alpha) != d - 2:
-        raise DegreeMismatchError(f"|alpha| = {sum(alpha)}, expected {d - 2}")
+    d = _lorentzian_degree(p)
+    alpha = _check_alpha(alpha, p.nvars, d - 2)
     eprime = int(eprime)
     if eprime < max(p.per_variable_degrees(), default=0):
         raise PreconditionError("eprime must bound every per-variable degree")
@@ -678,11 +681,7 @@ def hessian_vs_intersection(lam, e, N, alpha, epsilon):
         raise PreconditionError("need lam_1 <= e <= N")
     if lam.length > N:
         raise PreconditionError(f"partition needs more than {N} rows")
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != e or any(a < 0 for a in alpha):
-        raise PreconditionError(f"alpha must be {e} nonnegative integers")
-    if sum(alpha) != lam.weight - 2:
-        raise DegreeMismatchError(f"|alpha| = {sum(alpha)}, expected {lam.weight - 2}")
+    alpha = _check_alpha(alpha, e, lam.weight - 2)
     beta = tuple(N - a for a in alpha)
     if any(b < 1 for b in beta):
         raise PreconditionError("every N - alpha_j must be at least 1")

@@ -141,7 +141,9 @@ def _resolve_bundle(args, cfg, flag="bundle"):
         twist_flag = "twist" if flag == "bundle" else f"{flag}_twist"
         twist = getattr(args, twist_flag, None)
         return SplitBundle(space, line_vecs, _rats(twist) if twist else None)
-    raise CliError(f"no {flag} given (use --{flag} with a config, or --{lines_flag})")
+    raise CliError(
+        f"no {flag} given (use --{flag} with a config, or --{lines_flag.replace('_', '-')})"
+    )
 
 
 def _resolve_partition(args, cfg, flag):
@@ -551,11 +553,10 @@ def build_parser():
     p.set_defaults(fn=_cmd_bridge, normalized=False)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--config")
+    common(p, bundle=False)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int)
     p.add_argument("--criteria", help="comma separated criterion ids (default all)")
-    p.add_argument("--output", default=argparse.SUPPRESS)
     p.set_defaults(fn=_cmd_verify)
 
     return top

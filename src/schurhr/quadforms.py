@@ -29,25 +29,6 @@ class InertiaTriple:
         return {"n_plus": self.n_plus, "n_minus": self.n_minus, "n_zero": self.n_zero}
 
 
-def _as_matrix(m):
-    rows = [[parse_q(x) for x in row] for row in m]
-    n = len(rows)
-    for row in rows:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    return rows
-
-
-def check_symmetric(m):
-    rows = _as_matrix(m)
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-    return rows
-
-
 def intersection_form(omega, space=None):
     """Matrix of (a, b) -> integral of a * omega * b over the hyperplane basis.
 
@@ -70,57 +51,53 @@ def intersection_form(omega, space=None):
 def inertia(m):
     """Exact inertia by symmetric congruence reduction.
 
-    Nonzero diagonal entries serve as 1x1 pivots; when the active diagonal
-    is entirely zero, a nonzero off-diagonal entry spans a hyperbolic 2x2
-    block contributing (1, 1, 0).
+    A nonzero entry of the active diagonal is a 1x1 pivot: it counts as one
+    positive or negative eigenvalue and is eliminated from the rest.  When
+    the active diagonal is all zero but some a[p][q] = b is not, adding row
+    q to row p and then column q to column p is a congruence that puts 2b on
+    the diagonal, and that becomes the pivot.  When the active block is all
+    zero, its size is the count of zero eigenvalues.  Rejects a matrix that
+    is not square or not symmetric with ``ValueError``.
     """
-    a = [[Fraction(x) for x in row] for row in check_symmetric(m)]
-    active = list(range(len(a)))
-    n_plus = n_minus = n_zero = 0
+    a = [[Fraction(parse_q(x)) for x in row] for row in m]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i][j] != a[j][i]:
+                raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    active = list(range(n))
+    n_plus = n_minus = 0
     while active:
         pivot = next((p for p in active if a[p][p] != 0), None)
-        if pivot is not None:
-            d = a[pivot][pivot]
-            if d > 0:
-                n_plus += 1
-            else:
-                n_minus += 1
-            rest = [q for q in active if q != pivot]
-            col = {q: a[q][pivot] for q in rest}
-            for i in rest:
-                ci = col[i]
-                if ci:
-                    row_i = a[i]
-                    for j in rest:
-                        cj = col[j]
-                        if cj:
-                            row_i[j] -= ci * cj / d
-            active = rest
-            continue
-        hyper = None
-        for ii, p in enumerate(active):
-            for q in active[ii + 1:]:
-                if a[p][q] != 0:
-                    hyper = (p, q)
-                    break
-            if hyper:
+        if pivot is None:
+            # the diagonal is zero, so a nonzero a[p][q] has p != q
+            pair = next(((p, q) for p in active for q in active if a[p][q] != 0), None)
+            if pair is None:
                 break
-        if hyper is None:
-            n_zero += len(active)
-            break
-        p, q = hyper
-        b = a[p][q]
-        n_plus += 1
-        n_minus += 1
-        rest = [r for r in active if r not in (p, q)]
-        colp = {r: a[r][p] for r in rest}
-        colq = {r: a[r][q] for r in rest}
+            pivot, q = pair
+            for r in active:
+                a[pivot][r] += a[q][r]
+            for r in active:
+                a[r][pivot] += a[r][q]
+        d = a[pivot][pivot]
+        if d > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        rest = [q for q in active if q != pivot]
+        col = {q: a[q][pivot] for q in rest}
         for i in rest:
-            row_i = a[i]
-            for j in rest:
-                row_i[j] -= (colp[i] * colq[j] + colq[i] * colp[j]) / b
+            ci = col[i]
+            if ci:
+                row_i = a[i]
+                for j in rest:
+                    cj = col[j]
+                    if cj:
+                        row_i[j] -= ci * cj / d
         active = rest
-    return InertiaTriple(n_plus, n_minus, n_zero)
+    return InertiaTriple(n_plus, n_minus, len(active))
 
 
 def is_hr(m):

@@ -214,3 +214,91 @@ def test_twisted_forms_are_hr_for_positive_twists():
             mat = twisted_schur_form(E, lam, (1, 1), min(t, Fraction(1)))
             assert is_hr(mat)
         assert is_weak_hr(intersection_form(schur_class(lam, E), X))
+
+
+def _hypothesis_cases():
+    """(verifier call, the error type it documents) for every hypothesis a
+    verifier states.  Where one call breaks two hypotheses, the type says
+    which one the verifier checks first."""
+    from schurhr import analysis as A
+    from schurhr.polyring import MultiPoly
+    from schurhr.schur import schur_jt
+
+    X2, X3, X22 = Space([2]), Space([3]), Space([2, 2])
+    E2, bad2 = SplitBundle(X2, [(1,), (1,)]), SplitBundle(X2, [(-1,)])
+    E3 = SplitBundle(X3, [(1,), (1,)])
+    E22, bad22 = SplitBundle(X22, [(1, 0), (0, 1)]), SplitBundle(X22, [(1, -1), (0, 1)])
+    a, b = X22.h11_basis()
+    h, bad_h = a + b, a - b
+    cubic = schur_jt((2, 1), 2)
+    linear = MultiPoly(2, {(1, 0): 1})
+    zero = schur_jt((3,), 2)  # lambda_1 above the variable count
+    mixed = MultiPoly(2, {(2, 0): 1, (1, 0): 1})
+    P, D = PreconditionError, DegreeMismatchError
+    cases = [
+        ("fl/nef", lambda: A.fl_positivity(bad2, (1, 1), 0), P),
+        ("fl/weight", lambda: A.fl_positivity(E2, (1, 1), 1), D),
+        ("fl/nef-first", lambda: A.fl_positivity(bad2, (1,), 0), P),
+        ("monomial/spaces", lambda: A.monomial_positivity([E2, E3], [(1,), (1,)], [0, 0]), P),
+        ("monomial/nef", lambda: A.monomial_positivity([bad2], [(1, 1)], [0]), P),
+        ("monomial/degree", lambda: A.monomial_positivity([E2], [(1,)], [0]), D),
+        ("monomial/nef-first", lambda: A.monomial_positivity([bad2], [(1,)], [0]), P),
+        ("hodge/shape", lambda: A.hodge_index_check(a * a + b * b, a, b, X22), P),
+        ("hodge/beta", lambda: A.hodge_index_check(-(a * b), a, a + b, X22), P),
+        ("improved/weight", lambda: A.schur_hodge_improved_check(E22, h, (1,), a), D),
+        ("improved/nef", lambda: A.schur_hodge_improved_check(bad22, h, (2, 1), a), P),
+        ("improved/h", lambda: A.schur_hodge_improved_check(E22, bad_h, (2, 1), a), P),
+        ("improved/weight-first",
+         lambda: A.schur_hodge_improved_check(bad22, bad_h, (1,), a), D),
+        ("kt/spaces", lambda: A.kt_sequence(E2, E3, (1, 1), (1, 1)), P),
+        ("kt/nef-E", lambda: A.kt_sequence(bad2, E2, (1, 1), (1, 1)), P),
+        ("kt/nef-F", lambda: A.kt_sequence(E2, bad2, (1, 1), (1, 1)), P),
+        ("kt/weight", lambda: A.kt_sequence(E3, E3, (1,), (1,)), P),
+        ("chern-powers/nef", lambda: A.chern_power_sequence(bad22, h), P),
+        ("chern-powers/h", lambda: A.chern_power_sequence(E22, bad_h), P),
+        ("derived-values/point", lambda: A.derived_value_sequence((2, 1), [1, -1]), P),
+        ("pair-values/d", lambda: A.pair_value_sequence((1,), (1,), 3, [1], [1]), P),
+        ("pair-values/x", lambda: A.pair_value_sequence((1,), (1,), 2, [-1], [1]), P),
+        ("pair-values/y", lambda: A.pair_value_sequence((1,), (1,), 2, [1], [-1]), P),
+        ("polya-minors/length", lambda: A.polya_check_minors([1] * 9), P),
+        ("polya-class/weight", lambda: A.polya_combination_class((1,), E22, h, [1]), D),
+        ("polya-class/nef", lambda: A.polya_combination_class((1, 1), bad22, h, [1]), P),
+        ("polya-class/h", lambda: A.polya_combination_class((1, 1), E22, bad_h, [1]), P),
+        ("polya-class/weight-first",
+         lambda: A.polya_combination_class((1,), bad22, bad_h, [1]), D),
+        ("lemma/eprime", lambda: A.lemma_bridge_check(cubic, 0, (1, 0)), P),
+        ("lemma/alpha-length", lambda: A.lemma_bridge_check(cubic, 3, (1,)), P),
+        ("lemma/alpha-sign", lambda: A.lemma_bridge_check(cubic, 3, (2, -1)), P),
+        ("lemma/alpha-total", lambda: A.lemma_bridge_check(cubic, 3, (1, 1)), D),
+        ("hessian/e", lambda: A.hessian_vs_intersection((3,), 2, 2, (0, 0), 0), P),
+        ("hessian/rows", lambda: A.hessian_vs_intersection((1, 1, 1), 2, 2, (0, 0), 0), P),
+        ("hessian/alpha-length",
+         lambda: A.hessian_vs_intersection((2, 1), 2, 3, (1,), 0), P),
+        ("hessian/alpha-sign",
+         lambda: A.hessian_vs_intersection((2, 1), 2, 3, (2, -1), 0), P),
+        ("hessian/alpha-total",
+         lambda: A.hessian_vs_intersection((2, 2), 2, 2, (1, 0), 0), D),
+        ("hessian/beta", lambda: A.hessian_vs_intersection((2, 2), 2, 2, (2, 0), 0), P),
+    ]
+    lorentzian = [
+        ("strict", lambda p: A.lorentzian_check(p, "strict")),
+        ("perturbed", lambda p: A.lorentzian_check(p, "perturbed")),
+        ("witness", lambda p: A.lorentzian_witness(p, Fraction(1, 100))),
+        ("lemma", lambda p: A.lemma_bridge_check(p, 3, (0, 0))),
+    ]
+    for name, check in lorentzian:
+        cases += [
+            (f"{name}/zero", lambda c=check: c(zero), P),
+            (f"{name}/degree", lambda c=check: c(linear), P),
+            (f"{name}/homogeneous", lambda c=check: c(mixed), D),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "call, error", [pytest.param(c, e, id=name) for name, c, e in _hypothesis_cases()]
+)
+def test_each_broken_hypothesis_raises_its_documented_type(call, error):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is error

@@ -163,6 +163,21 @@ def test_lorentzian_retries_at_epsilon_zero(capsys):
     assert payload["retried_at_epsilon_over_10"] is True
 
 
+def test_lorentzian_of_a_zero_polynomial_is_a_usage_error():
+    for mode in ("strict", "perturbed"):
+        r = run("lorentzian", "--lambda", "3", "--vars", "2", "--mode", mode)
+        assert r.returncode == 1
+        assert r.stderr == "error: the polynomial is zero\n"
+
+
+def test_kt_without_a_second_bundle_names_its_flags():
+    r = run("kt", "--space", "2", "--lines", "1;1", "--lambda", "1,1", "--mu", "1,1")
+    assert r.returncode == 1
+    assert r.stderr == (
+        "error: no bundle2 given (use --bundle2 with a config, or --bundle2-lines)\n"
+    )
+
+
 def test_lorentzian_expect_pass_exit_code():
     r = run(
         "lorentzian", "--lambda", "1,1", "--vars", "2", "--mode", "strict",

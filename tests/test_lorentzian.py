@@ -214,3 +214,13 @@ def test_hessian_vs_intersection_preconditions():
         hessian_vs_intersection((2, 2), 2, 2, (1, 0), 0)  # |alpha| wrong
     with pytest.raises(PreconditionError):
         hessian_vs_intersection((2, 2), 2, 2, (2, 0), 0)  # factor would collapse
+
+
+def test_zero_polynomial_is_reported_as_zero():
+    zero = schur_jt((3,), 2)  # lambda_1 above the variable count
+    assert zero.is_zero
+    for mode in ("strict", "perturbed"):
+        with pytest.raises(PreconditionError, match="the polynomial is zero"):
+            lorentzian_check(zero, mode)
+    with pytest.raises(PreconditionError, match="the polynomial is zero"):
+        lemma_bridge_check(zero, 3, (0, 0))

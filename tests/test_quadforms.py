@@ -48,7 +48,7 @@ def test_inertia_examples():
         ((Fraction(1, 4), Fraction(1, 2)), (Fraction(1, 2), Fraction(3, 2)))
     ) == InertiaTriple(2, 0, 0)
     assert inertia(((0, 0), (0, 0))) == InertiaTriple(0, 0, 2)
-    # zero diagonal forces the hyperbolic block path
+    # zero diagonal forces the congruence step
     assert inertia(((0, 5), (5, 0))) == InertiaTriple(1, 1, 0)
 
 
@@ -136,3 +136,57 @@ def test_intersection_form_symmetry_by_construction():
     for i in range(3):
         for j in range(3):
             assert m[i][j] == m[j][i]
+
+
+def _charpoly(m):
+    """Coefficients c_0..c_n of det(x I - M) by Faddeev-LeVerrier."""
+    n = len(m)
+    c = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = M M_{k-1} + c_{n-k+1} I, then c_{n-k} = -tr(M M_k) / k
+        mk = [[sum(m[i][l] * mk[l][j] for l in range(n)) + (c[n - k + 1] if i == j else 0)
+               for j in range(n)] for i in range(n)]
+        tr = sum(m[i][l] * mk[l][i] for i in range(n) for l in range(n))
+        c[n - k] = -tr / k
+    return c
+
+
+def _sign_changes(coeffs):
+    signs = [x > 0 for x in coeffs if x != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _descartes_inertia(m):
+    """Inertia from the characteristic polynomial.  Its roots are all real,
+    so Descartes' rule counts them exactly: sign changes of p(x) give the
+    positive roots, those of p(-x) the negative ones, and the zero roots are
+    the vanishing low-order coefficients."""
+    c = _charpoly(m)
+    n_zero = next(i for i, x in enumerate(c) if x != 0)
+    reflected = [x if i % 2 == 0 else -x for i, x in enumerate(c)]
+    return InertiaTriple(_sign_changes(c), _sign_changes(reflected), n_zero)
+
+
+def test_inertia_agrees_with_descartes_rule():
+    rng = random.Random(43)
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        m = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.6:
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if trial % 2:
+            for i in range(n):  # every pivot needs the congruence step
+                m[i][i] = Fraction(0)
+        if trial % 3 == 0:  # low rank: S^T M S with a singular S
+            s = [[Fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
+            s[rng.randrange(n)] = [Fraction(0)] * n
+            m = _congruence(m, s)
+        assert inertia(m) == _descartes_inertia(m), m
+
+
+def test_inertia_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="not square"):
+        inertia(((1, 2), (2,)))
