@@ -562,9 +562,25 @@ def build_parser():
     return top
 
 
+def _attach_negative_values(argv):
+    """Write "--point -1,2" as "--point=-1,2".
+
+    argparse takes a word that starts with "-" for an option unless it is a
+    plain negative number, so "-1,2" or "-1;1" would not reach the option
+    before it.  No option of this program starts with "-" and a digit.
+    """
+    out = []
+    for word in argv:
+        if word[:1] == "-" and word[1:2].isdigit() and out and out[-1][:2] == "--":
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     top = build_parser()
-    args = top.parse_args(argv)
+    args = top.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.paper_examples:
             return _paper_examples(args)

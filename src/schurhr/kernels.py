@@ -67,33 +67,33 @@ def mul_terms_capped(a, b, bias, guard):
 
 
 def add_scaled(acc, terms, coeff=1):
-    """In place acc += coeff * terms; removes entries that cancel to zero."""
+    """In place acc += coeff * terms; removes entries that cancel to zero.
+
+    Every value it stores is canonical (``rationals.canon``): an int stays
+    as it is after one type check, a Fraction with denominator 1 becomes int.
+    """
     if not coeff:
         return acc
     get = acc.get
     if coeff == 1:
         for e, c in terms.items():
             prev = get(e)
-            if prev is None:
-                acc[e] = c
-            else:
-                s = prev + c
-                if s:
-                    acc[e] = s
-                else:
+            if prev is not None:
+                c = prev + c
+                if not c:
                     del acc[e]
+                    continue
+            acc[e] = c if type(c) is int else canon(c)
     else:
         for e, c in terms.items():
             c = coeff * c
             prev = get(e)
-            if prev is None:
-                acc[e] = c
-            else:
-                s = prev + c
-                if s:
-                    acc[e] = s
-                else:
+            if prev is not None:
+                c = prev + c
+                if not c:
                     del acc[e]
+                    continue
+            acc[e] = c if type(c) is int else canon(c)
     return acc
 
 

@@ -94,7 +94,19 @@ class MultiPoly(kernels.TermElement):
 
         The replacements are elements of one ring of ``kernels.TermElement``
         (polynomials in some variable count, or classes of one truncated
-        cohomology ring), and the result is an element of that ring.
+        cohomology ring), and the result is an element of that ring, with
+        canonical coefficients.
+
+        The evaluation is a multivariate Horner scheme, in the order of the
+        variables.  Write p = sum over k of x_1^k * p_k(x_2, ...), where
+        k_1 > k_2 > ... > k_m are the exponents of x_1 that occur; then
+
+            p(r) = (...(p_k1(r')·r_1^(k1 - k2) + p_k2(r'))·... + p_km(r'))·r_1^km,
+
+        with r' the later replacements, at which each p_k is evaluated the
+        same way.  A power r_1^d is d multiplies of the accumulator by r_1:
+        every multiply is the accumulator times one replacement, and no power
+        of a replacement, nor a product of such powers, is ever formed.
         """
         replacements = list(replacements)
         if len(replacements) != self.nvars:
@@ -106,24 +118,31 @@ class MultiPoly(kernels.TermElement):
         first = replacements[0]
         for r in replacements:
             first._check_ring(r)
-        pow_memo = {}
+        mul = first._mul
+        reps = [r.terms for r in replacements]
+        (unit,) = first.constant(1, first.ring).terms
 
-        def rp(j, k):
-            key = (j, k)
-            v = pow_memo.get(key)
-            if v is None:
-                v = rp(j, k - 1) * replacements[j] if k > 1 else replacements[j]
-                pow_memo[key] = v
-            return v
+        def horner(terms, j):
+            # the sum of the (exponents, coeff) pairs at the replacements,
+            # reading the exponents from position j on
+            if j == len(reps):
+                return {unit: terms[0][1]}  # one term: the exponents are distinct
+            groups = {}
+            for t in terms:
+                groups.setdefault(t[0][j], []).append(t)
+            degs = sorted(groups, reverse=True)
+            acc = horner(groups[degs[0]], j + 1)
+            for hi, k in zip(degs, degs[1:]):
+                for _ in range(hi - k):
+                    acc = mul(acc, reps[j])
+                kernels.add_scaled(acc, horner(groups[k], j + 1))
+            for _ in range(degs[-1]):
+                acc = mul(acc, reps[j])
+            return acc
 
-        acc = {}
-        one = first.constant(1, first.ring)
-        for e, c in self.terms.items():
-            prod = one
-            for j, x in enumerate(e):
-                if x:
-                    prod = prod * rp(j, x)
-            kernels.add_scaled(acc, prod.terms, c)
+        acc = horner(list(self.terms.items()), 0) if self.terms else {}
+        if not all(type(c) is int for c in acc.values()):
+            acc = {key: canon(c) for key, c in acc.items()}  # a multiply's Fraction(n, 1)
         return first._raw(first.ring, acc)
 
     def partial(self, j):

@@ -212,6 +212,24 @@ def test_usage_error_exit_code():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "--lambda", "2,1", "--point", "-1,2"],
+     "point must be coordinatewise nonnegative"),
+    (["seq", "--lambda", "2,1", "--point", "1,2", "--mu", "1", "--d", "3",
+      "--point2", "-1,2"], "points must be coordinatewise nonnegative"),
+    (["polya", "--mus", "1,2", "--space", "2,2", "--lines", "-1,0;0,1",
+      "--twist", "0,0", "--lambda", "1,1"], "bundle is not nef"),
+    (["polya", "--mus", "1,2", "--space", "2,2", "--lines", "1,0;0,1",
+      "--twist", "0,0", "--lambda", "1,1", "--h", "-1,1"], "h is not nef"),
+    (["bridge", "--lambda", "2,1", "--vars", "2", "--alpha", "-1,2"],
+     "alpha must be 2 nonnegative integers"),
+])
+def test_a_negative_value_after_a_space_reaches_the_verifier(argv, message, capsys):
+    # argparse alone reads "-1,2" as an unknown option: "expected one argument"
+    assert cli.main(argv) == cli.USAGE_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_malformed_config_diagnostics(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  \"space\": [2,\n}")

@@ -106,6 +106,13 @@ def test_add_scaled_matches_oracle():
         expected = {e: c for e, c in expected.items() if c}
         assert kernels.add_scaled(acc, terms, coeff) is acc
         assert acc == expected
+        assert all(type(c) is int or c.denominator > 1 for c in acc.values())
+    # a sum and a scaled term that are whole numbers are stored as ints
+    half = Fraction(1, 2)
+    acc = kernels.add_scaled({(1, 0): half, (0, 1): half}, {(1, 0): half, (0, 2): 4}, 1)
+    acc = kernels.add_scaled(acc, {(0, 2): 4, (3, 0): 6}, half)
+    assert acc == {(1, 0): 1, (0, 1): half, (0, 2): 6, (3, 0): 3}
+    assert all(type(c) is int for e, c in acc.items() if e != (0, 1))
 
 
 def test_capped_mul_drops_overflow():

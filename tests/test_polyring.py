@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schurhr.cohomology import CohClass, Space
 from schurhr.errors import DegreeMismatchError, SpaceMismatchError
@@ -49,6 +49,84 @@ def test_substitute_binomial():
     assert p.substitute([t1 + t2, t2]) == CohClass(X, {(1, 1): 2, (0, 2): 1})
     with pytest.raises(SpaceMismatchError):
         p.substitute([t1, Space([2]).h11_basis()[0]])
+
+
+def _naive_substitute(p, reps):
+    # sum of c * r_1^e_1 * ... * r_n^e_n, each power by repeated multiplies
+    one = reps[0].constant(1, reps[0].ring)
+    total = reps[0].zero(reps[0].ring)
+    for exps, c in p.terms.items():
+        term = one
+        for r, k in zip(reps, exps):
+            for _ in range(k):
+                term = term * r
+        total = total + term.scale(c)
+    return total
+
+
+_coeffs = st.one_of(st.integers(-4, 4),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _terms(width, top):
+    # up to 4 terms with exponents in [0, top], possibly none, possibly constant
+    return st.dictionaries(st.tuples(*[st.integers(0, top)] * width), _coeffs, max_size=4)
+
+
+@st.composite
+def _substitutions(draw):
+    nvars = draw(st.integers(1, 3))
+    p = MultiPoly(nvars, draw(_terms(nvars, 3)))
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 3))
+        reps = [MultiPoly(m, draw(_terms(m, 2))) for _ in range(nvars)]
+    else:
+        X = Space(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+        reps = [CohClass(X, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, n + 1) for n in X.factors]), _coeffs, max_size=3)))
+            for _ in range(nvars)]
+    return p, reps
+
+
+half = Fraction(1, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_substitutions())
+@example((MultiPoly.zero(2), [x(0) * x(1), x(1)]))
+@example((MultiPoly.constant(half, 2), [x(0) * x(1), x(1)]))
+@example((P(2, {(1, 0): half, (0, 1): half}), [2 * x(0), 2 * x(1)]))
+@example((P(2, {(3, 1): half, (0, 2): 3}), [MultiPoly.zero(2), x(0) - x(1)]))
+def test_substitute_matches_the_term_by_term_sum(case):
+    p, reps = case
+    got = p.substitute(reps)
+    assert type(got) is type(reps[0]) and got.ring == reps[0].ring
+    assert got == _naive_substitute(p, reps)
+    assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+
+
+def test_substitute_multiplies_only_by_one_replacement(monkeypatch):
+    X = Space([3, 3])
+    reps = [CohClass.linear(X, [2, 1]), CohClass.linear(X, [1, 3]) + 1]
+    p = P(2, {(3, 2): 1, (1, 2): half, (0, 1): -2, (0, 0): 5})
+    want = _naive_substitute(p, reps)
+    right = []
+    original = CohClass._mul
+
+    def spy(self, a, b):
+        right.append(b)
+        return original(self, a, b)
+
+    monkeypatch.setattr(CohClass, "_mul", spy)
+    assert p.substitute(reps) == want
+    # r_2^2 at x1^3, times r_1^2, + r_2^2, times r_1, + (-2 r_2 + 5): 3 + 5 multiplies
+    assert len(right) == 8
+    assert all(any(b is r.terms for r in reps) for b in right)
+
+
+def test_substitute_without_variables_returns_the_polynomial():
+    p = MultiPoly(0, {(): half})
+    assert p.substitute([]) is p
 
 
 @settings(max_examples=60)
