@@ -504,7 +504,9 @@ def p2p3_convex_example(t):
 
 
 def twisted_schur_form(E, lam, h_coeffs, t):
-    """Intersection form of s_lam(E twisted by t * h)."""
+    """Intersection form of s_lam(E twisted by t * h), for nef E and h."""
+    _nef_space(E)
+    _check_nef_class(CohClass.linear(E.space, h_coeffs))
     t = parse_q(t)
     delta = [t * parse_q(c) for c in h_coeffs]
     return intersection_form(schur_class(lam, E.twisted_by(delta)))
@@ -558,6 +560,9 @@ def _derivatives(p, order, j=0):
 def _strict_report(p, mode, epsilon):
     d = _lorentzian_degree(p)
     e = p.nvars
+    # a positive scaling keeps every coefficient sign and every inertia, and
+    # this one leaves integers for the partials and Hessians below
+    p = p.scale(common_denominator(p.terms.values()))
     # a degree-d monomial that is not stored has coefficient zero
     bad_coeffs = tuple(
         sorted(mu for mu in _compositions(d, e) if p.terms.get(mu, 0) <= 0)

@@ -8,6 +8,8 @@ vanishes exactly when lam_1 > e.
 
 Shift expansions: s_lam(x_1 + t, ..., x_e + t) = sum_i s_lam^(i)(x) t^i
 defines the derived polynomials s_lam^(i), homogeneous of degree |lam| - i.
+They are computed from the operator D = sum_j d/dx_j: by Taylor's formula
+along (1, ..., 1), s_lam^(i) = D s_lam^(i-1) / i, an exact integer division.
 """
 
 import threading
@@ -62,7 +64,12 @@ def schur_ssyt(lam, e):
 
 
 def derived_all(lam, e):
-    """All shift-expansion coefficients (s_lam^(0), ..., s_lam^(|lam|))."""
+    """All shift-expansion coefficients (s_lam^(0), ..., s_lam^(|lam|)).
+
+    Taylor's formula along (1, ..., 1) gives s_lam^(i) = D^i s_lam / i! with
+    D = sum_j d/dx_j, so each slice is D of the one before divided by i.
+    The coefficients stay integers: s_lam(x + t) has integer coefficients.
+    """
     lam = Partition(lam)
     e = int(e)
     key = (lam.normalized, e)
@@ -70,19 +77,34 @@ def derived_all(lam, e):
         hit = _derived_cache.get(key)
     if hit is not None:
         return hit
-    b = lam.weight
-    s = schur_jt(lam, e)
-    # lift to e+1 variables (the last one is t) and shift every x_j by t
-    lifted = MultiPoly._raw(e + 1, {exps + (0,): c for exps, c in s.terms.items()})
-    t = MultiPoly.variable(e, e + 1)
-    repl = [MultiPoly.variable(j, e + 1) + t for j in range(e)] + [t]
-    shifted = lifted.substitute(repl)
-    buckets = [{} for _ in range(b + 1)]
-    for exps, c in shifted.terms.items():
-        buckets[exps[e]][exps[:e]] = c
-    result = tuple(MultiPoly._raw(e, terms) for terms in buckets)
+    slices = [schur_jt(lam, e)]
+    for i in range(1, lam.weight + 1):
+        slices.append(MultiPoly._raw(e, _taylor_step(slices[-1].terms, i)))
+    result = tuple(slices)
     with _cache_lock:
         _derived_cache[key] = result
+    return result
+
+
+def _taylor_step(terms, i):
+    """D(terms) / i for integer coefficients, D = sum_j d/dx_j.
+
+    Raises ArithmeticError if a coefficient of D(terms) is not a multiple of
+    i: the shift expansion of an integer polynomial never does that.
+    """
+    out = {}
+    for exps, c in terms.items():
+        for j, x in enumerate(exps):
+            if x:
+                key = exps[:j] + (x - 1,) + exps[j + 1:]
+                out[key] = out.get(key, 0) + c * x
+    result = {}
+    for key, v in out.items():
+        q, r = divmod(v, i)
+        if r:
+            raise ArithmeticError(f"Taylor step {i}: {v} at {key} is not a multiple of {i}")
+        if q:
+            result[key] = q
     return result
 
 

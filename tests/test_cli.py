@@ -134,6 +134,18 @@ def test_hr_scan(config):
     assert all(rec["is_hr"] for rec in payload["scan"])
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--lines", "-1,0;0,1"], "bundle is not nef"),
+    (["--lines", "1,0;0,1", "--h", "-1,1"], "h is not nef"),
+])
+def test_hr_scan_checks_its_hypotheses(extra, message):
+    # a violated hypothesis is bad input (exit 1), not a failed check (exit 2)
+    r = run("hr-scan", "--space", "2,2", "--twist", "0,0", "--lambda", "1,1", *extra)
+    assert r.returncode == cli.USAGE_ERROR
+    assert r.stdout == ""
+    assert r.stderr == f"error: {message}\n"
+
+
 def test_lorentzian_subcommand():
     r = run("lorentzian", "--lambda", "1,1", "--vars", "2", "--mode", "strict")
     assert r.returncode == 0

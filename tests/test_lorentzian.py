@@ -156,6 +156,26 @@ def test_perturbed_certification_across_shapes():
                 assert rep.ok, (lam, e)
 
 
+def _failing_quadratics():
+    x, y = MultiPoly.variable(0, 2), MultiPoly.variable(1, 2)
+    return [
+        x * x + (y * y).scale(Fraction(1, 3)) - (x * y).scale(Fraction(5, 2)),
+        # positive coefficients, but the Hessian has two positive eigenvalues
+        x * x + (y * y).scale(Fraction(1, 3)) + (x * y).scale(Fraction(1, 5)),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["strict", "perturbed"])
+def test_a_positive_scaling_changes_no_report(mode):
+    rng = random.Random(16)
+    failing = _failing_quadratics()
+    corpus = [schur_jt(lam, e).normalize() for lam, e in acceptance._CRIT11_CASES]
+    for p in failing + corpus:
+        c = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
+        assert lorentzian_check(p.scale(c), mode) == lorentzian_check(p, mode)
+    assert not any(lorentzian_check(p, mode).ok for p in failing)
+
+
 def test_bridge_examples():
     assert lemma_bridge_check(schur_jt((1, 1), 2), 2, (0, 0))
     assert lemma_bridge_check(MultiPoly(2, {(2, 1): 1}), 2, (1, 0))

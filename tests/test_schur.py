@@ -5,13 +5,14 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schurhr.partitions import Partition, partitions_in_box, partitions_up_to
 from schurhr.polyring import MultiPoly, elementary
-from schurhr.schur import (derived_all, derived_schur, derived_table_check,
-                           dual_reversal_check, elementary_row_check,
-                           format_elementary, schur_jt, schur_ssyt,
-                           to_elementary_basis)
+from schurhr.schur import (_taylor_step, derived_all, derived_schur,
+                           derived_table_check, dual_reversal_check,
+                           elementary_row_check, format_elementary, schur_jt,
+                           schur_ssyt, to_elementary_basis)
 
 
 def test_jt_examples():
@@ -75,6 +76,37 @@ def test_derived_defining_identity_at_random_points():
                 lhs = schur_jt(lam, e).evaluate([v + t for v in point])
                 rhs = sum(p.evaluate(point) * t**i for i, p in enumerate(polys))
                 assert lhs == rhs
+
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def shape_point_shift(draw):
+    lam = draw(st.sampled_from(list(partitions_up_to(8))))
+    e = draw(st.integers(1, 5))
+    return lam, e, draw(st.lists(_rationals, min_size=e, max_size=e)), draw(_rationals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape_point_shift())
+def test_derived_slices_sum_to_the_shifted_polynomial(case):
+    # the defining identity, with schur_jt's own evaluation as the oracle
+    lam, e, x, t = case
+    slices = derived_all(lam, e)
+    assert len(slices) == lam.weight + 1
+    assert slices[0] == schur_jt(lam, e)
+    for i, p in enumerate(slices):
+        assert p.is_zero or p.homogeneous_degree() == lam.weight - i
+    total = sum(p.evaluate(x) * t**i for i, p in enumerate(slices))
+    assert total == schur_jt(lam, e).evaluate([v + t for v in x])
+
+
+def test_taylor_step_rejects_an_inexact_division():
+    # D(x1^2 + x1*x2) = 3*x1 + x2, and 3 is not a multiple of 2
+    assert _taylor_step({(2, 0): 1, (1, 1): 1}, 1) == {(1, 0): 3, (0, 1): 1}
+    with pytest.raises(ArithmeticError):
+        _taylor_step({(2, 0): 1, (1, 1): 1}, 2)
 
 
 def test_derived_coefficients_nonnegative():
