@@ -7,8 +7,8 @@ theorem-level verifiers (positivity, Hodge-Riemann predicates,
 log-concavity, Polya frequency combinations, Lorentzian certification).
 """
 
-from .analysis import (InequalityResult, LorentzianReport, PolyaSequence,
-                       Sequence, chern_power_sequence, derived_value_sequence,
+from .analysis import (InequalityResult, LorentzianReport, Sequence,
+                       chern_power_sequence, derived_value_sequence,
                        fl_positivity, hessian_vs_intersection,
                        hodge_index_check, is_log_concave, is_ultra_log_concave,
                        kt_sequence, lemma_bridge_check, lorentzian_check,

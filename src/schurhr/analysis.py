@@ -104,6 +104,14 @@ def _nonnegative_points(*points):
     return points
 
 
+def _nonnegative_entries(mus):
+    """The sequence parsed to rationals; every entry must be nonnegative."""
+    mus = tuple(parse_q(v) for v in mus)
+    if any(v < 0 for v in mus):
+        raise PreconditionError("entries must be nonnegative")
+    return mus
+
+
 def _lorentzian_degree(p):
     """The degree d of a nonzero homogeneous p; a Lorentzian test needs d >= 2."""
     if p.is_zero:
@@ -284,22 +292,6 @@ def pair_value_sequence(lam, mu, d, x, y):
 # Polya frequency machinery
 
 
-@dataclass(frozen=True)
-class PolyaSequence:
-    """Nonnegative rational sequence mu_0, ..., mu_N."""
-
-    values: tuple
-
-    def __init__(self, values):
-        vals = tuple(parse_q(v) for v in values)
-        if any(v < 0 for v in vals):
-            raise ValueError("entries must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self):
-        return len(self.values)
-
-
 def _int_values(values):
     """Clear denominators (positive scaling preserves every minor sign)."""
     den = common_denominator(values)
@@ -386,10 +378,12 @@ def _first_negative_shape(g, rows, width_cap):
     return walk(0, [1], width_cap)
 
 
-# Bounds of the virtual-Schur search in polya_check_minors: the widest shape
-# and the depth to which the single-row entries are checked.  The width cap
-# must stay >= 8, the length cap of polya_check_minors: the square-window
-# minors are covered only because every shape of width <= len(mu) is walked.
+# The longest sequence polya_check_minors takes, and the bounds of its
+# virtual-Schur search: the widest shape and the depth to which the
+# single-row entries are checked.  The width cap must stay >= the length cap:
+# the square-window minors are covered only because every shape of width
+# <= len(mu) is walked.
+POLYA_LENGTH_CAP = 8
 POLYA_WIDTH_CAP = 12
 POLYA_H_CAP = 60
 
@@ -413,8 +407,8 @@ def polya_check_minors(mus):
 
     * The square window (mu[i - j]), i, j < len(mu).  Its minor of size m is
       s_{kappa/rho} with kappa_1 <= m, so every nu it expands into has
-      nu_1 <= len(mu) <= 8 <= POLYA_WIDTH_CAP and at most n rows: the walk
-      visits them all.
+      nu_1 <= len(mu) <= POLYA_LENGTH_CAP <= POLYA_WIDTH_CAP and at most n
+      rows: the walk visits them all.
     * The reversed sequence, which is a frequency sequence exactly when mu
       is.  Its variables are 1/x, and s_nu(1/x) (x_1...x_n)^N = s_nubar(x),
       with nubar the complement of nu in the n x N box, N = nu_1 (an identity
@@ -425,12 +419,13 @@ def polya_check_minors(mus):
       than the width cap, and their complements are rectangles that wide.
       So the reversed h sequence is still checked, to the same depth.
 
-    Length is capped at 8; the root-counting route has no cap.
+    Length is capped at POLYA_LENGTH_CAP; the root-counting route has no cap.
     """
-    mus = mus if isinstance(mus, PolyaSequence) else PolyaSequence(mus)
-    if len(mus) > 8:
-        raise PreconditionError("minor test is capped at sequence length 8")
-    vals = _int_values(mus.values)
+    mus = _nonnegative_entries(mus)
+    if len(mus) > POLYA_LENGTH_CAP:
+        raise PreconditionError(
+            f"minor test is capped at sequence length {POLYA_LENGTH_CAP}")
+    vals = _int_values(mus)
     while vals and vals[0] == 0:
         vals.pop(0)
     while vals and vals[-1] == 0:
@@ -448,8 +443,7 @@ def polya_check_minors(mus):
 def polya_check_roots(mus):
     """Real-rootedness of the generating polynomial (roots are automatically
     nonpositive when the coefficients are nonnegative)."""
-    mus = mus if isinstance(mus, PolyaSequence) else PolyaSequence(mus)
-    return has_only_real_roots(list(mus.values))
+    return has_only_real_roots(_nonnegative_entries(mus))
 
 
 def polya_combination_class(lam, E, h, mus):
@@ -458,16 +452,16 @@ def polya_combination_class(lam, E, h, mus):
     _check_weight(lam, E.space.dim - 2, "dim - 2")
     _nef_space(E)
     _check_nef_class(h)
-    mus = mus if isinstance(mus, PolyaSequence) else PolyaSequence(mus)
+    mus = _nonnegative_entries(mus)
     derived = derived_schur_classes(lam, E)
     total = CohClass.zero(E.space)
     hp = CohClass.unit(E.space)
-    for i, c in enumerate(mus.values):
+    for i, c in enumerate(mus):
         if i > lam.weight:
             break
         if c:
             total = total + (derived[i] * hp).scale(c)
-        if i < len(mus.values) - 1:
+        if i < len(mus) - 1:
             hp = hp * h
     return total
 

@@ -169,7 +169,11 @@ def _load_poly(args):
             raise CliError(f"cannot read polynomial file: {exc}")
         if args.vars is None:
             raise CliError("--vars is required with --poly-file")
-        return MultiPoly.from_json(data, args.vars)
+        try:
+            return MultiPoly.from_json(data, args.vars)
+        except (TypeError, KeyError) as exc:
+            raise CliError(f"bad polynomial file ({exc}): expected a list of "
+                           '{"exponents": [...], "coeff": "n/d"} terms')
     raise CliError("give either --lambda or --poly-file")
 
 
@@ -320,7 +324,7 @@ def _cmd_seq(args, cfg):
 def _cmd_polya(args, cfg):
     mus = _rats(args.mus)
     roots = analysis.polya_check_roots(mus)
-    if len(mus) > 8:
+    if len(mus) > analysis.POLYA_LENGTH_CAP:
         # the minor route is capped; beyond it only root counting runs
         minors, agree, search = None, None, None
     else:

@@ -1,9 +1,11 @@
 """Exact real-root counting for univariate rational polynomials.
 
-Polynomials are coefficient lists indexed by degree.  Sign variation counts
-of the Sturm chain at -inf and +inf give the number of distinct real roots;
-comparing with the degree of the squarefree part decides whether every root
-is real.
+Polynomials are coefficient lists indexed by degree.  One remainder chain
+p, p', -rem(p, p'), ... ends in g = gcd(p, p') up to a constant.  Every
+element is a multiple of g, which has a fixed sign near -inf and near +inf,
+so V(-inf) - V(+inf), the sign variations of the raw chain, counts the
+distinct real roots, also when roots repeat.  p has only real roots exactly
+when that count is deg p - deg g, its number of distinct complex roots.
 """
 
 from fractions import Fraction
@@ -18,75 +20,44 @@ def _strip(p):
     return p
 
 
-def _derivative(p):
-    return [p[i] * i for i in range(1, len(p))]
-
-
-def _divmod(a, b):
-    """Quotient and remainder of a by b (b nonzero), over Fractions."""
+def _rem(a, b):
+    """Remainder of a by a nonzero b, over Fractions."""
     a = [Fraction(x) for x in a]
-    lb = Fraction(b[-1])
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
     while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1] / lb
-        off = len(a) - len(b)
-        q[off] = c
-        for i in range(len(b) - 1):
-            a[off + i] -= c * b[i]
-        a.pop()
-    return _strip(q), _strip(a)
+        c = a.pop() / b[-1]
+        if c:
+            off = len(a) - len(b) + 1
+            for i in range(len(b) - 1):
+                a[off + i] -= c * b[i]
+    return _strip(a)
 
 
-def _gcd(a, b):
-    a, b = _strip(a), _strip(b)
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    return a
-
-
-def squarefree_part(p):
-    p = _strip(p)
-    if len(p) <= 1:
-        return p
-    g = _gcd(p, _derivative(p))
-    if len(g) <= 1:
-        return p
-    return _divmod(p, g)[0]
-
-
-def _variations(signs):
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
-
-
-def _sturm_count(p):
-    """Distinct real roots of a squarefree p: its Sturm chain over (-inf, inf)."""
-    if len(p) <= 1:
-        return 0
-    chain = [p, _strip(_derivative(p))]
-    while len(chain[-1]) > 1:
-        r = _divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
+def _sturm_chain(p):
+    """p, p', -rem(p, p'), ... for p of degree >= 1, down to gcd(p, p')."""
+    chain = [p, [p[i] * i for i in range(1, len(p))]]
+    while r := _rem(chain[-2], chain[-1]):
         chain.append([-x for x in r])
+    return chain
 
-    def sign_at(c, at_minus_infinity):
-        s = 1 if c[-1] > 0 else -1
-        if at_minus_infinity and (len(c) - 1) % 2 == 1:
-            s = -s
-        return s
 
-    lo = [sign_at(c, True) for c in chain if c]
-    hi = [sign_at(c, False) for c in chain if c]
-    return _variations(lo) - _variations(hi)
+def _root_counts(p):
+    """(distinct real roots, distinct complex roots) of p; (0, 0) for a constant."""
+    p = _strip(parse_q(x) for x in p)
+    if len(p) <= 1:
+        return 0, 0
+    chain = _sturm_chain(p)
+    hi = [1 if c[-1] > 0 else -1 for c in chain]
+    lo = [s if len(c) % 2 else -s for s, c in zip(hi, chain)]  # odd degree flips
+
+    def variations(signs):
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(lo) - variations(hi), len(p) - len(chain[-1])
 
 
 def count_distinct_real_roots(p):
     """Number of distinct real roots."""
-    return _sturm_count(squarefree_part([parse_q(x) for x in p]))
+    return _root_counts(p)[0]
 
 
 def has_only_real_roots(p):
@@ -94,10 +65,5 @@ def has_only_real_roots(p):
 
     Degenerate inputs (zero or constant polynomials) count as real-rooted.
     """
-    p = _strip([parse_q(x) for x in p])
-    while p and p[0] == 0:
-        p.pop(0)  # roots at zero are real
-    if len(p) <= 1:
-        return True
-    sf = squarefree_part(p)
-    return _sturm_count(sf) == len(sf) - 1
+    real, distinct = _root_counts(p)
+    return real == distinct

@@ -242,6 +242,18 @@ def test_a_negative_value_after_a_space_reaches_the_verifier(argv, message, caps
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["lorentzian"], ["bridge", "--alpha", "0,0"]])
+@pytest.mark.parametrize("content", ['[{"exponents": [2, 0], "coeff": 1.5}]', '{"x": 1}'])
+def test_malformed_poly_file_is_a_usage_error(tmp_path, command, content):
+    # a float coefficient, and an object where a list of terms belongs
+    path = tmp_path / "poly.json"
+    path.write_text(content)
+    r = run(*command, "--poly-file", str(path), "--vars", "2")
+    assert r.returncode == 1
+    assert r.stderr.startswith("error: bad polynomial file")
+    assert "Traceback" not in r.stderr
+
+
 def test_malformed_config_diagnostics(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\n  \"space\": [2,\n}")

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from schurhr import kernels
-from schurhr.analysis import (PolyaSequence, _first_negative_shape,
-                              _virtual_h, p2p3_convex_example,
-                              polya_check_minors,
+from schurhr.analysis import (_first_negative_shape, _virtual_h,
+                              p2p3_convex_example, polya_check_minors,
                               polya_check_roots, polya_combination_class)
 from schurhr.bundles import SplitBundle, schur_class
 from schurhr.cohomology import CohClass, Space
@@ -21,10 +20,18 @@ from schurhr.quadforms import intersection_form, is_weak_hr
 from schurhr.realroots import count_distinct_real_roots, has_only_real_roots
 
 
+def _combination(mus):
+    # s_(1)^(i)(E) h^i on P^1 x P^2, E = O(1,0) + O(0,1), h = H1 + H2
+    space = Space((1, 2))
+    E = SplitBundle(space, [(1, 0), (0, 1)])
+    return polya_combination_class((1,), E, CohClass.linear(space, (1, 1)), mus)
+
+
 def test_polya_sequence_validation():
-    with pytest.raises(ValueError):
-        PolyaSequence([1, -1])
-    assert PolyaSequence(["1/2", 2]).values == (Fraction(1, 2), 2)
+    for verify in (polya_check_minors, polya_check_roots, _combination):
+        with pytest.raises(PreconditionError, match="entries must be nonnegative"):
+            verify([1, -1])
+        verify(["1/2", 2])  # entries may be rational strings
 
 
 def test_minor_route_examples():
@@ -57,6 +64,12 @@ def test_sturm_machinery():
     assert not has_only_real_roots([1, 0, 2, 0, 1])
     # rational coefficients
     assert has_only_real_roots([Fraction(1, 2), Fraction(3, 2), 1])
+    # z^3 + z = z (z^2 + 1): one real root of three
+    assert count_distinct_real_roots([0, 1, 0, 1]) == 1
+    assert not has_only_real_roots([0, 1, 0, 1])
+    # z^2 (z^2 + 1): a double root at zero and a complex pair
+    assert count_distinct_real_roots([0, 0, 1, 0, 1]) == 1
+    assert not has_only_real_roots([0, 0, 1, 0, 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,6 +82,29 @@ def test_sturm_counts_products_of_linear_factors(roots):
         poly = [a * r + b for a, b in zip(poly + [0], [0] + poly)]
     assert count_distinct_real_roots(poly) == len(set(roots))
     assert has_only_real_roots(poly)
+
+
+_factor_roots = st.lists(st.tuples(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                                   st.integers(1, 3)), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_factor_roots, st.integers(0, 3),
+       st.fractions(min_value=0, max_value=5, max_denominator=4).filter(bool),
+       st.integers(0, 2))
+def test_sturm_counts_repeated_roots(factors, j, c, k):
+    # prod (z + r_i)^(m_i) * z^j * (z^2 + c)^k: the distinct real roots are
+    # the -r_i and, when j > 0, zero; it is real-rooted exactly when k = 0
+    poly = [1]
+    for r, m in factors:
+        for _ in range(m):
+            poly = [a * r + b for a, b in zip(poly + [0], [0] + poly)]
+    for _ in range(k):
+        poly = [a * c + b for a, b in zip(poly + [0, 0], [0, 0] + poly)]
+    poly = [0] * j + poly
+    roots = {-r for r, _ in factors} | ({0} if j else set())
+    assert count_distinct_real_roots(poly) == len(roots)
+    assert has_only_real_roots(poly) == (k == 0)
 
 
 def _shapes(width, rows, prefix=()):
