@@ -1,16 +1,19 @@
 """The acceptance suite: every exit criterion as a deterministic check.
 
-Each criterion is a function (seed, pool) -> record dict; randomized
-criteria derive per-instance streams from the master seed, so reports are
-byte-identical for a fixed seed regardless of worker count.  ``run_all``
-opens the one process pool of a run; instance sharding preserves order
-(ordered pool map).
+Each criterion is a function (seed, pool) -> record dict.  A randomized
+criterion hands its instances to ``_run_sharded`` as jobs (worker, labels,
+n), and instance i of a job labelled L draws only from its own stream,
+``random.Random(f"{seed}:{L}:{i}")``.  No instance reads what another drew,
+and the ordered pool map returns the failures in job order, so the report
+is byte-identical for a fixed seed whatever the worker count.  ``run_all``
+opens the one process pool of a run.
 """
 
 import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from . import analysis, quadforms, schur
@@ -95,19 +98,24 @@ def _rand_root_product(rng, k, hi):
     return coeffs
 
 
+def _instance(worker, seed, labels, i):
+    return worker(i, *(_rng(seed, f"{label}:{i}") for label in labels))
+
+
 def _run_sharded(seed, pool, *jobs):
-    """The failures of fn((seed, i)) for each job (fn, n) and i < n, in that
-    order, on ``pool`` unless it is None; the order does not depend on the
-    pool.  On a pool, every job is queued before any result is read."""
+    """The failures of worker(i, *rngs) for each job (worker, labels, n) and
+    i < n, in that order, with one stream per label; on ``pool`` unless it
+    is None.  On a pool, every job is queued before any result is read."""
     runs = []
-    for fn, n in jobs:
-        args = [(seed, i) for i in range(n)]
+    for worker, labels, n in jobs:
+        # one partial per job, so a pool chunk pickles the worker once
+        fn = partial(_instance, worker, seed, labels)
         if pool is None:
-            runs.append(map(fn, args))
+            runs.append(map(fn, range(n)))
         else:
             # _max_workers is the worker count the pool was opened with
             chunk = max(1, n // (pool._max_workers * 4))
-            runs.append(pool.map(fn, args, chunksize=chunk))
+            runs.append(pool.map(fn, range(n), chunksize=chunk))
     return [f for results in runs for r in results for f in r]
 
 
@@ -158,8 +166,7 @@ def crit_low_degree_table(seed, pool=None):
 
 # -- criterion 3: determinant route equals tableau route ---------------------
 
-def _crit3_one(args):
-    seed, i = args
+def _crit3_one(i):
     lam, e = _CRIT3_CASES[i]
     if schur.schur_jt(lam, e) != schur.schur_ssyt(lam, e):
         return [f"mismatch at lam={list(lam.parts)}, e={e}"]
@@ -172,30 +179,30 @@ _CRIT3_CASES = [
 
 
 def crit_jt_equals_ssyt(seed, pool=None):
-    failures = _run_sharded(seed, pool, (_crit3_one, len(_CRIT3_CASES)))
+    failures = _run_sharded(seed, pool, (_crit3_one, (), len(_CRIT3_CASES)))
     return _record(3, "determinant-vs-tableaux", len(_CRIT3_CASES), failures)
 
 
 # -- criterion 4: box-dual reversal ------------------------------------------
 
+def _crit4_one(i, rng):
+    e = rng.randint(1, 4)
+    N = rng.randint(1, 5)
+    lam = rng.choice(list(partitions_in_box(e, N)))
+    if not schur.dual_reversal_check(lam, e, N):
+        return [f"reversal fails: lam={list(lam.parts)}, e={e}, N={N}"]
+    return []
+
+
 def crit_dual_reversal(seed, pool=None):
-    failures = []
     n = 100
-    for i in range(n):
-        rng = _rng(seed, f"dual:{i}")
-        e = rng.randint(1, 4)
-        N = rng.randint(1, 5)
-        lam = rng.choice(list(partitions_in_box(e, N)))
-        if not schur.dual_reversal_check(lam, e, N):
-            failures.append(f"reversal fails: lam={list(lam.parts)}, e={e}, N={N}")
+    failures = _run_sharded(seed, pool, (_crit4_one, ("dual",), n))
     return _record(4, "box-dual-reversal", n, failures)
 
 
 # -- criterion 5: twist rule vs root expansion -------------------------------
 
-def _crit5_one(args):
-    seed, i = args
-    rng = _rng(seed, f"twist:{i}")
+def _crit5_one(i, rng):
     space = _rand_space(rng)
     rank = rng.randint(1, 4)
     lines = [
@@ -218,15 +225,13 @@ def _crit5_one(args):
 
 def crit_twist_rule(seed, pool=None):
     n = 200
-    failures = _run_sharded(seed, pool, (_crit5_one, n))
+    failures = _run_sharded(seed, pool, (_crit5_one, ("twist",), n))
     return _record(5, "twist-rule-vs-roots", n, failures)
 
 
 # -- criterion 6: positivity of the characteristic numbers -------------------
 
-def _crit6_one(args):
-    seed, i = args
-    rng = _rng(seed, f"fl:{i}")
+def _crit6_one(i, rng):
     space = _rand_space(rng)
     d = space.dim
     e = rng.randint(1, 4)
@@ -241,9 +246,7 @@ def _crit6_one(args):
     return []
 
 
-def _crit6m_one(args):
-    seed, i = args
-    rng = _rng(seed, f"flm:{i}")
+def _crit6m_one(i, rng):
     space = _rand_space(rng, dmin=2, dmax=6)
     d = space.dim
     degs = _rand_split(rng, d, rng.randint(1, 3))
@@ -262,15 +265,13 @@ def _crit6m_one(args):
 
 def crit_fl_positivity(seed, pool=None):
     n, n_mono = 500, 200
-    failures = _run_sharded(seed, pool, (_crit6_one, n), (_crit6m_one, n_mono))
+    failures = _run_sharded(seed, pool, (_crit6_one, ("fl",), n), (_crit6m_one, ("flm",), n_mono))
     return _record(6, "characteristic-number-positivity", n + n_mono, failures)
 
 
 # -- criterion 7: one positive eigenvalue under ample twists -----------------
 
-def _crit7_one(args):
-    seed, i = args
-    rng = _rng(seed, f"hr:{i}")
+def _crit7_one(i, rng):
     space = _rand_space(rng)
     d = space.dim
     e = rng.randint(1, 4)
@@ -293,9 +294,7 @@ def _crit7_one(args):
     return out
 
 
-def _crit7m_one(args):
-    seed, i = args
-    rng = _rng(seed, f"hrm:{i}")
+def _crit7m_one(i, rng):
     space = _rand_space(rng, dmin=3, dmax=6)
     d = space.dim
     degs = _rand_split(rng, d - 2, rng.randint(1, 2))
@@ -311,15 +310,13 @@ def _crit7m_one(args):
 
 def crit_hr_predicates(seed, pool=None):
     n, n_mono = 200, 100
-    failures = _run_sharded(seed, pool, (_crit7_one, n), (_crit7m_one, n_mono))
+    failures = _run_sharded(seed, pool, (_crit7_one, ("hr",), n), (_crit7m_one, ("hrm",), n_mono))
     return _record(7, "hodge-riemann-predicates", n + n_mono, failures)
 
 
 # -- criterion 8: log-concave sequences --------------------------------------
 
-def _crit8_kt_one(args):
-    seed, i = args
-    rng = _rng(seed, f"kt:{i}")
+def _crit8_kt_one(i, rng):
     space = _rand_space(rng)
     d = space.dim
     eE, eF = rng.randint(1, 3), rng.randint(1, 3)
@@ -335,17 +332,14 @@ def _crit8_kt_one(args):
     return []
 
 
-def _crit8_seq_one(args):
+def _crit8_seq_one(i, rng, rng2):
     """Two checks: a derived value sequence and a pair value sequence."""
-    seed, i = args
     out = []
-    rng = _rng(seed, f"seq:{i}")
     e = rng.randint(1, 4)
     lam = _rand_partition(rng, rng.randint(1, 6), max_part=e)
     x = [_rand_fraction(rng, 0, 10) for _ in range(e)]
     if not analysis.is_log_concave(analysis.derived_value_sequence(lam, x)):
         out.append(f"derived values not log-concave at instance {i}")
-    rng2 = _rng(seed, f"pair:{i}")
     e1, e2 = rng2.randint(1, 3), rng2.randint(1, 3)
     lam1 = _rand_partition(rng2, rng2.randint(1, 5), max_part=e1)
     mu1 = _rand_partition(rng2, rng2.randint(1, 5), max_part=e2)
@@ -361,7 +355,8 @@ def _crit8_seq_one(args):
 
 def crit_kt_log_concavity(seed, pool=None):
     n_kt, n_seq, n_newton = 200, 1000, 20
-    failures = _run_sharded(seed, pool, (_crit8_kt_one, n_kt), (_crit8_seq_one, n_seq))
+    failures = _run_sharded(seed, pool, (_crit8_kt_one, ("kt",), n_kt),
+                            (_crit8_seq_one, ("seq", "pair"), n_seq))
     # Newton's ultra-log-concavity for the single-row shapes
     es = range(1, 6)
     for e in es:
@@ -377,9 +372,7 @@ def crit_kt_log_concavity(seed, pool=None):
 
 # -- criterion 9: index-type inequalities ------------------------------------
 
-def _crit9_hi_one(args):
-    seed, i = args
-    rng = _rng(seed, f"hi:{i}")
+def _crit9_hi_one(i, rng):
     space = _rand_space(rng)
     d = space.dim
     e = rng.randint(1, 4)
@@ -394,9 +387,7 @@ def _crit9_hi_one(args):
     return []
 
 
-def _crit9_imp_one(args):
-    seed, i = args
-    rng = _rng(seed, f"imp:{i}")
+def _crit9_imp_one(i, rng):
     space = _rand_space(rng)
     d = space.dim
     e = rng.randint(1, 4)
@@ -412,7 +403,8 @@ def _crit9_imp_one(args):
 
 def crit_index_inequalities(seed, pool=None):
     n_hi, n_imp = 300, 300
-    failures = _run_sharded(seed, pool, (_crit9_hi_one, n_hi), (_crit9_imp_one, n_imp))
+    failures = _run_sharded(seed, pool, (_crit9_hi_one, ("hi",), n_hi),
+                            (_crit9_imp_one, ("imp",), n_imp))
     return _record(9, "index-type-inequalities", n_hi + n_imp, failures)
 
 
@@ -442,9 +434,7 @@ def _polya_corpus_item(rng, kind):
     return [_rand_fraction(rng, 0, 9) for _ in range(L)]
 
 
-def _crit10_agree_one(args):
-    seed, i = args
-    rng = _rng(seed, f"polya:{i}")
+def _crit10_agree_one(i, rng):
     if i < len(_NASTY):
         vals = list(_NASTY[i])
     else:  # 30 of each corpus kind, then random draws
@@ -459,9 +449,7 @@ def _crit10_agree_one(args):
     return []
 
 
-def _crit10_comb_one(args):
-    seed, i = args
-    rng = _rng(seed, f"pcomb:{i}")
+def _crit10_comb_one(i, rng):
     space = _rand_space(rng, dmin=4, dmax=6)
     d = space.dim
     e = rng.randint(1, 3)
@@ -478,8 +466,8 @@ def _crit10_comb_one(args):
 def crit_polya_suite(seed, pool=None):
     n_agree, n_comb = 200, 100
     ts = (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5))
-    failures = _run_sharded(seed, pool, (_crit10_agree_one, n_agree),
-                            (_crit10_comb_one, n_comb))
+    failures = _run_sharded(seed, pool, (_crit10_agree_one, ("polya",), n_agree),
+                            (_crit10_comb_one, ("pcomb",), n_comb))
     for t in ts:
         if analysis.p2p3_convex_example(t)["is_weak_hr"]:
             failures.append(f"non-PF mix unexpectedly weak-HR at t={t}")
@@ -496,8 +484,7 @@ _CRIT11_CASES = [
 ]
 
 
-def _crit11_lor_one(args):
-    seed, i = args
+def _crit11_lor_one(i):
     lam, e = _CRIT11_CASES[i]
     p = schur.schur_jt(lam, e).normalize()
     rep, _ = analysis.lorentzian_certify(p, Fraction(1, 100))
@@ -506,9 +493,7 @@ def _crit11_lor_one(args):
     return []
 
 
-def _crit11_bridge_one(args):
-    seed, i = args
-    rng = _rng(seed, f"bridge:{i}")
+def _crit11_bridge_one(i, rng):
     e = rng.randint(1, 3)
     d = rng.randint(2, 5)
     nterms = rng.randint(1, 6)
@@ -530,9 +515,7 @@ def _crit11_bridge_one(args):
     return []
 
 
-def _crit11_hvi_one(args):
-    seed, i = args
-    rng = _rng(seed, f"hvi:{i}")
+def _crit11_hvi_one(i, rng):
     e = rng.randint(2, 3)
     w = rng.randint(2, 5)
     lam = _rand_partition(rng, w, max_part=e)
@@ -552,8 +535,9 @@ def _crit11_hvi_one(args):
 
 def crit_lorentzian(seed, pool=None):
     n_lor, n_bridge, n_hvi = len(_CRIT11_CASES), 50, 50
-    failures = _run_sharded(seed, pool, (_crit11_lor_one, n_lor),
-                            (_crit11_bridge_one, n_bridge), (_crit11_hvi_one, n_hvi))
+    failures = _run_sharded(seed, pool, (_crit11_lor_one, (), n_lor),
+                            (_crit11_bridge_one, ("bridge",), n_bridge),
+                            (_crit11_hvi_one, ("hvi",), n_hvi))
     return _record(11, "lorentzian-certification", n_lor + n_bridge + n_hvi, failures)
 
 

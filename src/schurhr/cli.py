@@ -149,7 +149,7 @@ def _resolve_bundle(args, cfg, flag="bundle"):
 def _resolve_partition(args, cfg, flag):
     value = getattr(args, flag)
     if value is None:
-        raise CliError(f"missing --{flag.replace('_', '-')}")
+        raise CliError(f"missing --{'lambda' if flag == 'lam' else flag}")
     if cfg and value in cfg["partitions"]:
         return cfg["partitions"][value]
     return _partition(value)
@@ -171,7 +171,7 @@ def _load_poly(args):
             raise CliError("--vars is required with --poly-file")
         try:
             return MultiPoly.from_json(data, args.vars)
-        except (TypeError, KeyError) as exc:
+        except (TypeError, KeyError, ValueError) as exc:
             raise CliError(f"bad polynomial file ({exc}): expected a list of "
                            '{"exponents": [...], "coeff": "n/d"} terms')
     raise CliError("give either --lambda or --poly-file")

@@ -345,4 +345,11 @@ class TermElement:
 
     @classmethod
     def from_json(cls, data, ring):
-        return cls(ring, {tuple(t["exponents"]): parse_q(t["coeff"]) for t in data})
+        """Read a term list; the coefficients of a repeated monomial add up."""
+        terms = {}
+        for t in data:
+            exps = tuple(t["exponents"])
+            if any(type(x) is not int for x in exps):
+                raise ValueError(f"exponents {list(exps)} are not all integers")
+            terms[exps] = terms.get(exps, 0) + parse_q(t["coeff"])
+        return cls(ring, terms)

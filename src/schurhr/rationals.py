@@ -27,7 +27,10 @@ def parse_q(s):
     if isinstance(s, Rational):
         return canon(s)
     if isinstance(s, str):
-        return canon(Fraction(s))
+        try:
+            return canon(Fraction(s))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {s!r}") from None
     raise TypeError(f"cannot parse rational from {s!r}")
 
 

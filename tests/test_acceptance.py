@@ -106,6 +106,24 @@ def test_criterion_12_verify_is_byte_deterministic(tmp_path):
         assert hashlib.sha256(first.stdout).hexdigest() == want
 
 
+def _draw(i, rng):
+    return [f"{i}:{rng.random()}"]
+
+
+def _draw_two(i, first, second):
+    return [f"{i}:{first.random()}:{second.random()}"]
+
+
+def test_every_instance_draws_from_its_own_stream():
+    jobs = [(_draw, ("a",), 5), (_draw_two, ("b", "c"), 3), (_draw, ("d",), 0)]
+    want = [f"{i}:{acceptance._rng(SEED, f'a:{i}').random()}" for i in range(5)]
+    want += [f"{i}:{acceptance._rng(SEED, f'b:{i}').random()}"
+             f":{acceptance._rng(SEED, f'c:{i}').random()}" for i in range(3)]
+    assert acceptance._run_sharded(SEED, None, *jobs) == want
+    with acceptance.ProcessPoolExecutor(max_workers=2) as pool:
+        assert acceptance._run_sharded(SEED, pool, *jobs) == want
+
+
 def test_one_pool_per_run(monkeypatch):
     opened = []
 

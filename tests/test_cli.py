@@ -243,15 +243,31 @@ def test_a_negative_value_after_a_space_reaches_the_verifier(argv, message, caps
 
 
 @pytest.mark.parametrize("command", [["lorentzian"], ["bridge", "--alpha", "0,0"]])
-@pytest.mark.parametrize("content", ['[{"exponents": [2, 0], "coeff": 1.5}]', '{"x": 1}'])
+@pytest.mark.parametrize("content", ['[{"exponents": [2, 0], "coeff": 1.5}]', '{"x": 1}',
+                                     '[{"exponents": [1.5, 0.5], "coeff": "1"}]'])
 def test_malformed_poly_file_is_a_usage_error(tmp_path, command, content):
-    # a float coefficient, and an object where a list of terms belongs
+    # a float coefficient, an object where a list of terms belongs, and
+    # exponents that are not integers
     path = tmp_path / "poly.json"
     path.write_text(content)
     r = run(*command, "--poly-file", str(path), "--vars", "2")
     assert r.returncode == 1
     assert r.stderr.startswith("error: bad polynomial file")
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "--lambda", "1,1", "--point", "1/0,1"], "zero denominator in '1/0'"),
+    (["polya", "--mus", "1,1/0"], "zero denominator in '1/0'"),
+    (["lorentzian", "--lambda", "2,1", "--vars", "3", "--epsilon", "1/0"],
+     "zero denominator in '1/0'"),
+    (["bridge", "--mode", "intersection", "--vars", "2", "--n", "2", "--alpha", "0,0"],
+     "missing --lambda"),
+])
+def test_bad_input_prints_one_error_line(argv, message):
+    r = run(*argv)
+    assert r.returncode == 1
+    assert r.stderr == f"error: {message}\n"
 
 
 def test_malformed_config_diagnostics(tmp_path):

@@ -11,7 +11,7 @@ from schurhr.errors import DegreeMismatchError, SpaceMismatchError
 from schurhr.partitions import ssyt_count
 from schurhr import kernels
 from schurhr.polyring import MultiPoly, elementary
-from schurhr.rationals import fmt_terms, terms_to_json
+from schurhr.rationals import fmt_terms, parse_q, terms_to_json
 from schurhr.schur import schur_jt
 
 
@@ -341,6 +341,24 @@ def test_term_printer_keeps_the_given_order():
 def test_json_round_trip():
     p = P(2, {(2, 1): Fraction(3, 2), (0, 0): -1})
     assert MultiPoly.from_json(p.to_json(), 2) == p
+
+
+def test_from_json_sums_a_repeated_monomial():
+    data = [{"exponents": [2, 0], "coeff": "1"}, {"exponents": [2, 0], "coeff": "1/2"},
+            {"exponents": [0, 2], "coeff": "1"}]
+    assert MultiPoly.from_json(data, 2) == P(2, {(2, 0): Fraction(3, 2), (0, 2): 1})
+
+
+@pytest.mark.parametrize("exps", [[1.5, 0.5], [1.0, 1], [True, 1]])
+def test_from_json_rejects_an_exponent_that_is_not_an_int(exps):
+    with pytest.raises(ValueError, match="not all integers"):
+        MultiPoly.from_json([{"exponents": exps, "coeff": "1"}], 2)
+
+
+def test_parse_q_names_a_zero_denominator():
+    assert parse_q("-2/4") == Fraction(-1, 2) and parse_q("6/3") == 2
+    with pytest.raises(ValueError, match="'1/0'"):
+        parse_q("1/0")
 
 
 def test_is_symmetric():
