@@ -16,7 +16,7 @@ from .bundles import (SplitBundle, chern_all, class_is_nef,
 from .cohomology import CohClass, Space
 from .errors import DegreeMismatchError, PreconditionError
 from .partitions import Partition, dual_in_box
-from .polyring import MultiPoly
+from .polyring import MultiPoly, evaluate_many
 from .quadforms import inertia, intersection_form, is_hr, is_weak_hr
 from .rationals import canon, common_denominator, fmt_q, parse_q
 from .realroots import has_only_real_roots
@@ -191,11 +191,13 @@ def hodge_index_check(omega, alpha, beta, space=None):
     q = intersection_form(omega, space)
     if not is_weak_hr(q):
         raise PreconditionError("form does not have the weak one-positive-eigenvalue shape")
-    bb = (beta * omega * beta).integrate()
+    bo = beta * omega
+    bb = bo.pairing(beta)
     if bb < 0:
         raise PreconditionError("need int beta^2 omega >= 0")
-    aa = (alpha * omega * alpha).integrate()
-    ab = (alpha * omega * beta).integrate()
+    ao = alpha * omega
+    aa = ao.pairing(alpha)
+    ab = ao.pairing(beta)
     lhs = canon(aa * bb)
     rhs = canon(ab * ab)
     return InequalityResult(lhs, rhs, lhs <= rhs)
@@ -215,8 +217,8 @@ def schur_hodge_improved_check(E, h, lam, alpha):
     _check_nef_class(h)
     classes = derived_schur_classes(lam, E, imax=1)
     s0, s1 = classes[0], classes[1]
-    lhs = canon((alpha * alpha * s1).integrate() * (h * s0).integrate())
-    rhs = canon(2 * (alpha * h * s1).integrate() * (alpha * s0).integrate())
+    lhs = canon((alpha * alpha).pairing(s1) * h.pairing(s0))
+    rhs = canon(2 * (alpha * h).pairing(s1) * alpha.pairing(s0))
     return InequalityResult(lhs, rhs, lhs <= rhs)
 
 
@@ -240,7 +242,7 @@ def kt_sequence(E, F, lam, mu):
     values = []
     for i in range(lo, hi + 1):
         j = top - i
-        values.append((sE[j] * sF[i]).integrate())
+        values.append(sE[j].pairing(sF[i]))
     return Sequence(tuple(values), provenance="kt", start=lo)
 
 
@@ -254,7 +256,7 @@ def chern_power_sequence(E, h):
     for _ in range(d):
         hp.append(hp[-1] * h)
     for i in range(min(E.rank, d) + 1):
-        values.append((cs[i] * hp[d - i]).integrate())
+        values.append(cs[i].pairing(hp[d - i]))
     return Sequence(tuple(values), provenance="chern-powers", start=0)
 
 
@@ -262,10 +264,8 @@ def derived_value_sequence(lam, x):
     """i -> s_lam^(i)(x) at a nonnegative rational point."""
     lam = Partition(lam)
     [x] = _nonnegative_points(x)
-    polys = derived_all(lam, len(x))
-    return Sequence(
-        tuple(p.evaluate(x) for p in polys), provenance="derived-values", start=0
-    )
+    values = evaluate_many(derived_all(lam, len(x)), x)
+    return Sequence(tuple(values), provenance="derived-values", start=0)
 
 
 def pair_value_sequence(lam, mu, d, x, y):
@@ -280,11 +280,10 @@ def pair_value_sequence(lam, mu, d, x, y):
     hi = min(mu.weight, lam.weight - shift)
     if hi < lo:
         return Sequence((), provenance="pair-values", start=0)
-    px = derived_all(lam, len(x))
-    py = derived_all(mu, len(y))
-    vx = [p.evaluate(x) for p in px]
-    vy = [p.evaluate(y) for p in py]
-    values = tuple(canon(vx[shift + i] * vy[i]) for i in range(lo, hi + 1))
+    # only the slices read below
+    vx = evaluate_many(derived_all(lam, len(x))[shift + lo:shift + hi + 1], x)
+    vy = evaluate_many(derived_all(mu, len(y))[lo:hi + 1], y)
+    values = tuple(canon(u * v) for u, v in zip(vx, vy))
     return Sequence(values, provenance="pair-values", start=lo)
 
 
@@ -305,11 +304,12 @@ def _virtual_h(mu, depth):
     mu_0^m: the sign pattern of the virtual complete homogeneous sequence.
     """
     mu0 = mu[0]
+    coef = [None] + [(-1) ** (i - 1) * mu[i] * mu0 ** (i - 1) for i in range(1, len(mu))]
     g = [1]
     for m in range(1, depth + 1):
         s = 0
         for i in range(1, min(m, len(mu) - 1) + 1):
-            s += (-1) ** (i - 1) * mu[i] * mu0 ** (i - 1) * g[m - i]
+            s += coef[i] * g[m - i]
         g.append(s)
     return g
 
@@ -346,6 +346,9 @@ def _first_negative_shape(g, rows, width_cap):
     widest part first.
     """
     tables = _laplace_tables(rows)
+    # the row at offset off = lam_i - i, for every offset the walk reaches
+    shifted = {off: [g[off + j] if off + j >= 0 else 0 for j in range(rows)]
+               for off in range(1 - rows, width_cap + 1)}
     lam = []
 
     def walk(m, prev, top):
@@ -353,8 +356,7 @@ def _first_negative_shape(g, rows, width_cap):
         # deeper rows need every subset; the last only the leading one
         tab = tables[m][:1] if last else tables[m]
         for w in range(top, 0, -1):
-            off = w - m
-            r = [g[off + j] if off + j >= 0 else 0 for j in range(rows)]
+            r = shifted[w - m]
             cur = []
             for terms in tab:  # Laplace along r
                 total = 0

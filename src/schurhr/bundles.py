@@ -140,18 +140,32 @@ def chern_twist_rule(E, p):
     Agrees exactly with the root expansion; kept as an independent route.
     """
     p = int(p)
-    e = E.rank
-    if p < 0 or p > e:
+    if p < 0 or p > E.rank:
         return CohClass.zero(E.space)
+    return _twist_rule(E, [p])[0]
+
+
+def chern_twist_rule_all(E):
+    """[c_0(E), ..., c_rank(E)] via the twist rule, from one untwisted
+    expansion and one table of delta powers."""
+    return _twist_rule(E, range(E.rank + 1))
+
+
+def _twist_rule(E, ps):
+    """The twist rule at each p of ps, all within 0..rank."""
+    e = E.rank
     base = chern_all(E.untwisted())
     delta = CohClass.linear(E.space, E.twist)
     dpow = [CohClass.unit(E.space)]
-    for _ in range(p):
+    for _ in range(max(ps)):
         dpow.append(dpow[-1] * delta)
-    total = CohClass.zero(E.space)
-    for k in range(p + 1):
-        total = total + comb(e - k, p - k) * (base[k] * dpow[p - k])
-    return total
+    out = []
+    for p in ps:
+        total = CohClass.zero(E.space)
+        for k in range(p + 1):
+            total = total + comb(e - k, p - k) * (base[k] * dpow[p - k])
+        out.append(total)
+    return out
 
 
 def char_class(p, E):
@@ -200,7 +214,8 @@ def derived_schur_classes(lam, E, imax=None):
 
     Computed on the product with an extra projective factor: twisting by
     the new hyperplane class and expanding the Schur class in its powers
-    yields every shift-order slice at once.
+    yields every shift-order slice at once.  With imax = 0 the one slice is
+    the Schur class itself, and no factor is added.
     """
     lam = Partition(lam)
     b = lam.weight
@@ -213,9 +228,10 @@ def derived_schur_classes(lam, E, imax=None):
         return [CohClass.zero(E.space)] * (imax + 1)
     if b == 0:
         return [CohClass.unit(E.space)]
-    m = max(imax, 1)
+    if imax == 0:
+        return [schur_class(lam, E)]
     space = E.space
-    aug = Space(space.factors + (m,))
+    aug = Space(space.factors + (imax,))
     lifted = SplitBundle(
         aug,
         [line + (0,) for line in E.lines],

@@ -88,10 +88,15 @@ def _load_config(path):
         raise CliError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise CliError(f"config {path} is not valid JSON at line {exc.lineno}, column {exc.colno}")
+    if not isinstance(raw, dict):
+        raise CliError(f"config {path} is not a JSON object")
+    seed = raw.get("seed")
+    if seed is not None and type(seed) is not int:  # a bool is not a seed either
+        raise CliError(f"bad config field: seed {json.dumps(seed)} is not an integer")
     cfg = {
         "bundles": {},
         "partitions": {},
-        "seed": raw.get("seed"),
+        "seed": seed,
         "output": raw.get("output") or {},
     }
     try:

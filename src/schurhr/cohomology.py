@@ -9,7 +9,7 @@ Terms are keyed by packed exponent vectors (Monagan and Pearce, CASC 2007).
 
 from . import kernels
 from .errors import SpaceMismatchError
-from .rationals import parse_q
+from .rationals import canon, parse_q
 
 
 class Space:
@@ -136,6 +136,27 @@ class CohClass(kernels.TermElement):
     def integrate(self):
         """Coefficient of the top monomial (zero on everything else)."""
         return self.terms.get(self.space.top, 0)
+
+    def pairing(self, other):
+        """The integral of self * other, read without forming the product.
+
+        Only the top monomial of the product counts, and the key of the
+        monomial that completes a key k to the top is top - k (no field
+        borrows, as every field of k is within its cap), so the integral is
+        the sum over k of self[k] * other[top - k].
+        """
+        self._check_ring(other)
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        top = self.space.top
+        get = b.get
+        total = 0
+        for k, c in a.items():
+            v = get(top - k)
+            if v is not None:
+                total += c * v
+        return canon(total)
 
 
 def class_det(rows):

@@ -11,7 +11,7 @@ from math import factorial, prod
 
 from . import kernels
 from .errors import DegreeMismatchError
-from .rationals import canon, parse_q
+from .rationals import canon, common_denominator, parse_q
 
 
 class MultiPoly(kernels.TermElement):
@@ -66,28 +66,8 @@ class MultiPoly(kernels.TermElement):
     # -- the operators used by the verifiers --------------------------------
 
     def evaluate(self, point):
-        """Exact value at a rational point."""
-        point = [parse_q(x) for x in point]
-        if len(point) != self.nvars:
-            raise ValueError(f"point has length {len(point)}, expected {self.nvars}")
-        powers = [{} for _ in range(self.nvars)]
-
-        def pw(j, k):
-            memo = powers[j]
-            v = memo.get(k)
-            if v is None:
-                v = point[j] ** k
-                memo[k] = v
-            return v
-
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for j, x in enumerate(e):
-                if x:
-                    v = v * pw(j, x)
-            total += v
-        return canon(total)
+        """Exact value at a rational point (``evaluate_many``)."""
+        return evaluate_many([self], point)[0]
 
     def substitute(self, replacements):
         """Simultaneous substitution; one replacement per variable.
@@ -236,6 +216,40 @@ class MultiPoly(kernels.TermElement):
             if swapped != self.terms:
                 return False
         return True
+
+
+def evaluate_many(polys, point):
+    """Exact values of polynomials in one variable count at one rational point.
+
+    With b the common denominator of the point, x = n / b for integers n, and
+    a polynomial of degree D has the value sum of c_e * n^e * b^(D - |e|)
+    over its terms, divided by b^D once: the sum runs over the integers when
+    the coefficients are integers.  The powers of n and of b are tabled once
+    for all the polynomials.
+    """
+    point = [parse_q(x) for x in point]
+    polys = list(polys)
+    for p in polys:
+        if len(point) != p.nvars:
+            raise ValueError(f"point has length {len(point)}, expected {p.nvars}")
+    b = common_denominator(point)
+    nums = [x.numerator * (b // x.denominator) for x in point]
+    sums = [[sum(e) for e in p.terms] for p in polys]
+    top = max((max(s, default=0) for s in sums), default=0)
+    bpow = [b ** k for k in range(top + 1)]
+    npow = [[n ** k for k in range(top + 1)] for n in nums]
+    out = []
+    for p, degs in zip(polys, sums):
+        deg = max(degs, default=0)
+        total = 0
+        for (e, c), s in zip(p.terms.items(), degs):
+            v = c if s == deg else c * bpow[deg - s]
+            for row, x in zip(npow, e):
+                if x:
+                    v *= row[x]
+            total += v
+        out.append(canon(Fraction(total, bpow[deg])) if b > 1 else canon(total))
+    return out
 
 
 def _exps_factorial(exps):

@@ -7,10 +7,9 @@ need.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegreeMismatchError, SpaceMismatchError
-from .rationals import fmt_q, parse_q
+from .rationals import common_denominator, fmt_q, parse_q
 
 
 @dataclass(frozen=True)
@@ -49,17 +48,23 @@ def intersection_form(omega, space=None):
 
 
 def inertia(m):
-    """Exact inertia by symmetric congruence reduction.
+    """Exact inertia by symmetric congruence reduction, over the integers.
 
-    A nonzero entry of the active diagonal is a 1x1 pivot: it counts as one
-    positive or negative eigenvalue and is eliminated from the rest.  When
-    the active diagonal is all zero but some a[p][q] = b is not, adding row
-    q to row p and then column q to column p is a congruence that puts 2b on
-    the diagonal, and that becomes the pivot.  When the active block is all
-    zero, its size is the count of zero eigenvalues.  Rejects a matrix that
-    is not square or not symmetric with ``ValueError``.
+    A positive scaling keeps the inertia, so the denominators are cleared
+    once and the elimination is fraction-free (Bareiss, *Sylvester's
+    identity and multistep integer-preserving Gaussian elimination*, Math.
+    Comp. 22, 1968): after a pivot d, the active block is d times the Schur
+    complement, each entry updated by an exact division by the pivot before
+    it.  A nonzero entry of the active diagonal is a 1x1 pivot: relative to
+    the pivot before it, its sign counts one positive or negative
+    eigenvalue.  When the active diagonal is all zero but some a[p][q] = b
+    is not, adding row q to row p and then column q to column p is a
+    congruence that puts 2b on the diagonal, and that becomes the pivot.
+    When the active block is all zero, its size is the count of zero
+    eigenvalues.  Rejects a matrix that is not square or not symmetric with
+    ``ValueError``.
     """
-    a = [[Fraction(parse_q(x)) for x in row] for row in m]
+    a = [[parse_q(x) for x in row] for row in m]
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
@@ -67,13 +72,17 @@ def inertia(m):
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
+    den = common_denominator(x for row in a for x in row)
+    if den > 1:
+        a = [[x.numerator * (den // x.denominator) for x in row] for row in a]
     active = list(range(n))
     n_plus = n_minus = 0
+    prev = 1  # the pivot before: the active block is prev times the Schur complement
     while active:
-        pivot = next((p for p in active if a[p][p] != 0), None)
+        pivot = next((p for p in active if a[p][p]), None)
         if pivot is None:
             # the diagonal is zero, so a nonzero a[p][q] has p != q
-            pair = next(((p, q) for p in active for q in active if a[p][q] != 0), None)
+            pair = next(((p, q) for p in active for q in active if a[p][q]), None)
             if pair is None:
                 break
             pivot, q = pair
@@ -82,20 +91,18 @@ def inertia(m):
             for r in active:
                 a[r][pivot] += a[r][q]
         d = a[pivot][pivot]
-        if d > 0:
+        if (d > 0) == (prev > 0):
             n_plus += 1
         else:
             n_minus += 1
         rest = [q for q in active if q != pivot]
-        col = {q: a[q][pivot] for q in rest}
+        row_p = a[pivot]
         for i in rest:
-            ci = col[i]
-            if ci:
-                row_i = a[i]
-                for j in rest:
-                    cj = col[j]
-                    if cj:
-                        row_i[j] -= ci * cj / d
+            row_i = a[i]
+            ci = row_i[pivot]
+            for j in rest:
+                row_i[j] = (d * row_i[j] - ci * row_p[j]) // prev
+        prev = d
         active = rest
     return InertiaTriple(n_plus, n_minus, len(active))
 

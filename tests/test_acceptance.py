@@ -7,6 +7,7 @@ stated runtime budget where one exists.
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -122,6 +123,28 @@ def test_every_instance_draws_from_its_own_stream():
     assert acceptance._run_sharded(SEED, None, *jobs) == want
     with acceptance.ProcessPoolExecutor(max_workers=2) as pool:
         assert acceptance._run_sharded(SEED, pool, *jobs) == want
+
+
+def test_rand_partition_draws_as_a_fresh_list_would():
+    from schurhr.partitions import Partition, partitions_of
+
+    def reference(rng, weight, max_part=None, max_len=None):
+        if weight == 0:
+            return Partition()
+        return rng.choice(list(partitions_of(weight, max_part=max_part, max_len=max_len)))
+
+    rng, ref = acceptance._rng(SEED, "pool"), acceptance._rng(SEED, "pool")
+    shapes = random.Random(5)
+    draws = 0
+    while draws < 2000:
+        weight, max_part, max_len = (shapes.randint(0, 9), shapes.choice([None, 1, 2, 3, 4]),
+                                     shapes.choice([None, 2, 3]))
+        if weight and not any(partitions_of(weight, max_part=max_part, max_len=max_len)):
+            continue  # nothing to draw from
+        args = (weight, max_part, max_len)
+        assert acceptance._rand_partition(rng, *args) == reference(ref, *args)
+        draws += 1
+    assert rng.random() == ref.random()
 
 
 def test_one_pool_per_run(monkeypatch):

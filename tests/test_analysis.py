@@ -115,6 +115,31 @@ def test_kt_sequence_example():
     assert is_log_concave(seq)
 
 
+def test_kt_sequence_forms_no_capped_product(monkeypatch):
+    # with the slices given, each value is a pairing, not a product
+    from schurhr import analysis, bundles, kernels
+    X, E = _p2p3_bundle()
+    F = SplitBundle(X, [(0, 1), (1, 1)], (Fraction(1, 2), 0))
+    lam, mu = (2, 1), (1, 1, 1)
+    slices = {lam: bundles.derived_schur_classes(lam, E),
+              mu: bundles.derived_schur_classes(mu, F)}
+    sE, sF = slices[lam], slices[mu]
+    top = 6 - X.dim  # |lam| + |mu| - dim
+    want = tuple((sE[top - i] * sF[i]).integrate() for i in range(top + 1))
+    products, real = [], kernels.mul_terms_capped
+
+    def spy(*args):
+        products.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "derived_schur_classes",
+                        lambda lam_, bundle, imax=None: slices[tuple(lam_.parts)])
+    monkeypatch.setattr(kernels, "mul_terms_capped", spy)
+    seq = kt_sequence(E, F, lam, mu)
+    assert products == []
+    assert seq.values == want and seq.start == 0
+
+
 def test_kt_sequence_range_and_preconditions():
     X, E = _p2_bundle()
     with pytest.raises(PreconditionError):

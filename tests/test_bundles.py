@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from schurhr import bundles, cohomology, kernels
 from schurhr.bundles import (SplitBundle, char_class, chern, chern_all,
-                             chern_twist_rule, class_is_nef,
+                             chern_twist_rule, chern_twist_rule_all, class_is_nef,
                              derived_schur_class, derived_schur_classes,
                              schur_class)
 from schurhr.cohomology import CohClass, Space
@@ -51,6 +51,17 @@ def test_twist_rule_agrees_with_roots_randomly():
         E = SplitBundle(X, lines, delta)
         for p in range(rank + 1):
             assert chern(E, p) == chern_twist_rule(E, p)
+
+
+def test_twist_rule_for_every_p_at_once_equals_each_p():
+    rng = random.Random(17)
+    for _ in range(30):
+        X = Space([rng.randint(1, 3) for _ in range(rng.randint(1, 3))])
+        rank = rng.randint(1, 4)
+        lines = [tuple(rng.randint(-2, 2) for _ in range(X.k)) for _ in range(rank)]
+        delta = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(X.k))
+        E = SplitBundle(X, lines, delta)
+        assert chern_twist_rule_all(E) == [chern_twist_rule(E, p) for p in range(rank + 1)]
 
 
 def test_twist_composition():
@@ -268,3 +279,12 @@ def test_serialization_round_trip():
     data = E.to_json()
     assert data == {"lines": [[1, 0], [1, 0], [0, 1]], "twist": ["0", "0"]}
     assert SplitBundle.from_json(data, X) == E
+
+
+@settings(max_examples=40, deadline=None)
+@given(_twisted_instances())
+def test_zeroth_slice_alone_is_the_schur_class(inst):
+    # imax = 0 skips the extra factor; the lifted route's slice 0 agrees
+    E, lam, _ = inst
+    assert derived_schur_classes(lam, E, 0) == [schur_class(lam, E)]
+    assert derived_schur_classes(lam, E, 1)[0] == schur_class(lam, E)

@@ -368,3 +368,23 @@ def test_verify_seed_and_workers_precedence(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--workers", "1"]) == 0
     assert calls.pop() == (acceptance.DEFAULT_SEED, 1)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("seed", [42.0, "x", True])
+def test_verify_rejects_a_config_seed_that_is_not_an_int(tmp_path, monkeypatch, capsys, seed):
+    ran = []
+    monkeypatch.setattr(acceptance, "run_all", lambda *a, **k: ran.append(a))
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    assert cli.main(["verify", "--config", str(cfg), "--workers", "1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+    assert json.dumps(seed) in err[0]
+    assert ran == []
+
+
+def test_a_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1]")
+    assert cli.main(["verify", "--config", str(cfg), "--workers", "1"]) == 1
+    assert capsys.readouterr().err == f"error: config {cfg} is not a JSON object\n"

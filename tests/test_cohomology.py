@@ -223,3 +223,37 @@ def test_multipoly_and_cohclass_do_not_mix():
         with pytest.raises(TypeError):
             op(u, p)
     assert u != p
+
+
+@st.composite
+def _classes_to_pair(draw):
+    factors = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    X = Space(factors)
+    cls = st.dictionaries(
+        st.tuples(*(st.integers(0, n) for n in factors)),
+        st.one_of(st.integers(-4, 4),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+        max_size=5,
+    ).map(lambda terms: CohClass(X, terms))
+    return draw(cls), draw(cls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_classes_to_pair())
+def test_pairing_is_the_integral_of_the_product(pair):
+    # zero classes and degrees that do not add up to dim are among the draws
+    a, b = pair
+    want = (a * b).integrate()
+    assert a.pairing(b) == want and b.pairing(a) == want
+    assert type(a.pairing(b)) is int or a.pairing(b).denominator > 1
+
+
+def test_pairing_reads_zero_off_the_top_degree():
+    X = Space([2, 1])
+    t1, t2 = X.h11_basis()
+    assert (t1 * t2).pairing(t1) == 1
+    assert t1.pairing(t1) == 0  # degrees 1 + 1 < dim 3
+    assert (t1 * t1).pairing(t1 * t2) == 0  # past the top
+    assert CohClass.zero(X).pairing(t1 * t2) == 0
+    with pytest.raises(SpaceMismatchError):
+        t1.pairing(Space([3]).h11_basis()[0])

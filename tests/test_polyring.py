@@ -10,7 +10,7 @@ from schurhr.cohomology import CohClass, Space
 from schurhr.errors import DegreeMismatchError, SpaceMismatchError
 from schurhr.partitions import ssyt_count
 from schurhr import kernels
-from schurhr.polyring import MultiPoly, elementary
+from schurhr.polyring import MultiPoly, elementary, evaluate_many
 from schurhr.rationals import fmt_terms, parse_q, terms_to_json
 from schurhr.schur import schur_jt
 
@@ -161,6 +161,46 @@ def test_evaluate():
     p = P(2, {(2, 0): 1, (1, 1): 1, (0, 2): 1})
     assert p.evaluate([1, 1]) == 3
     assert p.evaluate([2, 0]) == 4
+
+
+def _fraction_value(p, point):
+    # the term-by-term sum over the rationals
+    total = Fraction(0)
+    for exps, c in p.terms.items():
+        v = Fraction(c)
+        for x, k in zip(point, exps):
+            v *= Fraction(x) ** k
+        total += v
+    return total
+
+
+_points = st.one_of(st.integers(0, 5),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+@st.composite
+def _polys_and_point(draw):
+    nvars = draw(st.integers(0, 3))
+    # non-homogeneous terms, int and Fraction coefficients, zero coordinates
+    polys = [MultiPoly(nvars, draw(_terms(nvars, 4)))
+             for _ in range(draw(st.integers(0, 3)))]
+    return polys, draw(st.lists(_points, min_size=nvars, max_size=nvars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys_and_point())
+@example(([P(2, {(2, 0): half, (0, 0): 3, (1, 1): -1})], [0, Fraction(2, 3)]))
+def test_evaluate_many_matches_the_fraction_sum(case):
+    polys, point = case
+    got = evaluate_many(polys, point)
+    assert got == [_fraction_value(p, point) for p in polys]
+    assert all(type(v) is int or v.denominator > 1 for v in got)
+    assert [p.evaluate(point) for p in polys] == got
+
+
+def test_evaluate_many_rejects_a_point_of_the_wrong_length():
+    with pytest.raises(ValueError, match="length 1, expected 2"):
+        evaluate_many([x(0), x(1)], [1])
 
 
 def test_evaluate_schur_matches_tableau_expansion():

@@ -171,15 +171,22 @@ def _descartes_inertia(m):
 def test_inertia_agrees_with_descartes_rule():
     rng = random.Random(43)
     for trial in range(600):
-        n = rng.randint(1, 6)
+        n = rng.randint(1, 8)
+        # small entries, and entries up to 10^9 over denominators up to 997
+        hi, den = (4, 3) if trial % 4 else (10 ** 9, 997)
         m = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 if rng.random() < 0.6:
-                    m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    m[i][j] = m[j][i] = Fraction(rng.randint(-hi, hi), rng.randint(1, den))
         if trial % 2:
             for i in range(n):  # every pivot needs the congruence step
                 m[i][i] = Fraction(0)
+        if trial % 5 == 0 and n > 1:  # a zero block on the diagonal
+            b = rng.randint(1, n - 1)
+            for i in range(b):
+                for j in range(b):
+                    m[i][j] = Fraction(0)
         if trial % 3 == 0:  # low rank: S^T M S with a singular S
             s = [[Fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
             s[rng.randrange(n)] = [Fraction(0)] * n
