@@ -25,8 +25,7 @@ from .partitions import (Partition, dual_in_box, partitions_in_box,
                          partitions_of, partitions_up_to, ssyt_count,
                          ssyt_weight_counts)
 from .polyring import MultiPoly, elementary
-from .quadforms import (InertiaTriple, inertia, intersection_form, is_hr,
-                        is_weak_hr)
+from .quadforms import InertiaTriple, inertia, intersection_form
 from .schur import (derived_all, derived_schur, derived_table_check,
                     dual_reversal_check, elementary_row_check, schur_jt,
                     schur_ssyt, to_elementary_basis)

@@ -16,12 +16,12 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb
 
-from . import analysis, quadforms, schur
+from . import analysis, schur
 from .bundles import SplitBundle, chern_all, chern_twist_rule_all, schur_class
 from .cohomology import CohClass, Space
 from .partitions import Partition, partitions_in_box, partitions_of, partitions_up_to
 from .polyring import MultiPoly
-from .quadforms import intersection_form, is_hr, is_weak_hr
+from .quadforms import InertiaTriple, inertia, intersection_form
 from .rationals import fmt_q
 
 DEFAULT_SEED = 42
@@ -145,7 +145,7 @@ def crit_convex_mix(seed, pool=None):
         if not res["matches_closed_form"]:
             failures.append(f"matrix at t={t} differs from closed form")
         if 0 < t < Fraction(1, 2):
-            if res["inertia"] != quadforms.InertiaTriple(2, 0, 0):
+            if res["inertia"] != InertiaTriple(2, 0, 0):
                 failures.append(f"inertia at t={t} is {res['inertia']}")
     return _record(1, "convex-mix-form", len(ts), failures)
 
@@ -189,10 +189,16 @@ def crit_jt_equals_ssyt(seed, pool=None):
 
 # -- criterion 4: box-dual reversal ------------------------------------------
 
+@cache
+def _box_pool(e, N):
+    """The partitions ``_crit4_one`` draws from, built on first use."""
+    return tuple(partitions_in_box(e, N))
+
+
 def _crit4_one(i, rng):
     e = rng.randint(1, 4)
     N = rng.randint(1, 5)
-    lam = rng.choice(list(partitions_in_box(e, N)))
+    lam = rng.choice(_box_pool(e, N))
     if not schur.dual_reversal_check(lam, e, N):
         return [f"reversal fails: lam={list(lam.parts)}, e={e}, N={N}"]
     return []
@@ -285,15 +291,12 @@ def _crit7_one(i, rng):
     out = []
     t = Fraction(rng.randint(1, 8), rng.randint(1, 8))
     t = min(t, Fraction(1))
-    mat = analysis.twisted_schur_form(E, lam, h, t)
-    if not is_hr(mat):
+    if not inertia(analysis.twisted_schur_form(E, lam, h, t)).is_hr:
         # finitely many bad twists are possible; one fresh draw must land well
         t2 = Fraction(rng.randint(1, 16), 17)
-        mat2 = analysis.twisted_schur_form(E, lam, h, t2)
-        if not is_hr(mat2):
+        if not inertia(analysis.twisted_schur_form(E, lam, h, t2)).is_hr:
             out.append(f"instance {i}: not HR at t={t} nor t={t2}")
-    mat0 = intersection_form(schur_class(lam, E), space)
-    if not is_weak_hr(mat0):
+    if not inertia(intersection_form(schur_class(lam, E), space)).is_weak_hr:
         out.append(f"instance {i}: untwisted form not weak-HR")
     return out
 
@@ -307,7 +310,7 @@ def _crit7m_one(i, rng):
         e = rng.randint(1, 3)
         E = _rand_nef_bundle(rng, space, e)
         omega = omega * schur_class(_rand_partition(rng, deg, max_part=e), E)
-    if not is_weak_hr(intersection_form(omega, space)):
+    if not inertia(intersection_form(omega, space)).is_weak_hr:
         return [f"monomial instance {i}: product form not weak-HR"]
     return []
 
@@ -462,7 +465,7 @@ def _crit10_comb_one(i, rng):
     h = CohClass.linear(space, [rng.randint(0, 2) for _ in range(space.k)])
     coeffs = _rand_root_product(rng, d - 2, 3)
     omega = analysis.polya_combination_class(lam, E, h, coeffs)
-    if not is_weak_hr(intersection_form(omega, space)):
+    if not inertia(intersection_form(omega, space)).is_weak_hr:
         return [f"PF combination not weak-HR at instance {i}"]
     return []
 
@@ -473,7 +476,7 @@ def crit_polya_suite(seed, pool=None):
     failures = _run_sharded(seed, pool, (_crit10_agree_one, ("polya",), n_agree),
                             (_crit10_comb_one, ("pcomb",), n_comb))
     for t in ts:
-        if analysis.p2p3_convex_example(t)["is_weak_hr"]:
+        if analysis.p2p3_convex_example(t)["inertia"].is_weak_hr:
             failures.append(f"non-PF mix unexpectedly weak-HR at t={t}")
     return _record(10, "polya-frequency-suite", n_agree + n_comb + len(ts), failures)
 

@@ -17,7 +17,7 @@ from .cohomology import CohClass, Space
 from .errors import DegreeMismatchError, PreconditionError
 from .partitions import Partition, dual_in_box
 from .polyring import MultiPoly, evaluate_many
-from .quadforms import inertia, intersection_form, is_hr, is_weak_hr
+from .quadforms import inertia, intersection_form
 from .rationals import canon, common_denominator, fmt_q, parse_q
 from .realroots import has_only_real_roots
 from .schur import derived_all, schur_jt
@@ -188,8 +188,7 @@ def hodge_index_check(omega, alpha, beta, space=None):
     """int a^2 O * int b^2 O <= (int a b O)^2 for weak-HR O and int b^2 O >= 0."""
     if space is None:
         space = omega.space
-    q = intersection_form(omega, space)
-    if not is_weak_hr(q):
+    if not inertia(intersection_form(omega, space)).is_weak_hr:
         raise PreconditionError("form does not have the weak one-positive-eigenvalue shape")
     bo = beta * omega
     bb = bo.pairing(beta)
@@ -488,14 +487,9 @@ def p2p3_convex_example(t):
     )
     expected = ((t, 2 * t), (2 * t, 1 + 2 * t))
     return {
-        "t": t,
-        "space": space,
-        "bundle": E,
         "matrix": mat,
         "matches_closed_form": mat == expected,
         "inertia": inertia(mat),
-        "is_hr": is_hr(mat),
-        "is_weak_hr": is_weak_hr(mat),
     }
 
 
@@ -566,7 +560,7 @@ def _strict_report(p, mode, epsilon):
     bad_h = []
     for alpha, q in _derivatives(p, d - 2):
         t = inertia(q.hessian_of_partial((0,) * e))  # q is quadratic
-        if not (t.n_plus == 1 and t.n_zero == 0):
+        if not t.is_hr:
             bad_h.append((alpha, t))
     return LorentzianReport(
         ok=not bad_coeffs and not bad_h,

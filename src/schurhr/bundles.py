@@ -142,25 +142,20 @@ def chern_twist_rule(E, p):
     p = int(p)
     if p < 0 or p > E.rank:
         return CohClass.zero(E.space)
-    return _twist_rule(E, [p])[0]
+    return chern_twist_rule_all(E)[p]
 
 
 def chern_twist_rule_all(E):
     """[c_0(E), ..., c_rank(E)] via the twist rule, from one untwisted
     expansion and one table of delta powers."""
-    return _twist_rule(E, range(E.rank + 1))
-
-
-def _twist_rule(E, ps):
-    """The twist rule at each p of ps, all within 0..rank."""
     e = E.rank
     base = chern_all(E.untwisted())
     delta = CohClass.linear(E.space, E.twist)
     dpow = [CohClass.unit(E.space)]
-    for _ in range(max(ps)):
+    for _ in range(e):
         dpow.append(dpow[-1] * delta)
     out = []
-    for p in ps:
+    for p in range(e + 1):
         total = CohClass.zero(E.space)
         for k in range(p + 1):
             total = total + comb(e - k, p - k) * (base[k] * dpow[p - k])

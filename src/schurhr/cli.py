@@ -17,7 +17,7 @@ from .bundles import SplitBundle, chern, chern_twist_rule, derived_schur_class, 
 from .cohomology import CohClass, Space
 from .partitions import Partition
 from .polyring import MultiPoly
-from .quadforms import inertia, intersection_form, is_hr, is_weak_hr, matrix_to_json
+from .quadforms import inertia, intersection_form, matrix_to_json
 from .rationals import fmt_q, parse_q
 from .schur import (derived_schur, derived_table_check, format_elementary,
                     schur_jt, to_elementary_basis)
@@ -65,6 +65,19 @@ def _write(text, args):
 
 def _emit(payload, args):
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
+
+
+def _form_payload(mat, t=None):
+    """A form's report: the matrix, its inertia t and both verdicts read off
+    t; t is computed here unless the caller already holds it."""
+    if t is None:
+        t = inertia(mat)
+    return {
+        "matrix": matrix_to_json(mat),
+        "inertia": t.to_json(),
+        "is_hr": t.is_hr,
+        "is_weak_hr": t.is_weak_hr,
+    }
 
 
 def _emit_sequence(seq, args):
@@ -262,17 +275,7 @@ def _cmd_form(args, cfg):
     omega = CohClass.zero(space)
     for weight, lam in terms:
         omega = omega + schur_class(lam, E).scale(weight)
-    mat = intersection_form(omega, space)
-    t = inertia(mat)
-    _emit(
-        {
-            "matrix": matrix_to_json(mat),
-            "inertia": t.to_json(),
-            "is_hr": is_hr(mat),
-            "is_weak_hr": is_weak_hr(mat),
-        },
-        args,
-    )
+    _emit(_form_payload(intersection_form(omega, space)), args)
     return 0
 
 
@@ -280,6 +283,8 @@ def _cmd_hr_scan(args, cfg):
     E = _resolve_bundle(args, cfg)
     lam = _resolve_partition(args, cfg, "lam")
     h = _rats(args.h) if args.h else [1] * E.space.k
+    if args.t_count < 1:  # a scan of no twist would report a pass
+        raise CliError(f"--t-count must be at least 1, got {args.t_count}")
     if args.t_values:
         ts = _rats(args.t_values)
     else:
@@ -289,12 +294,10 @@ def _cmd_hr_scan(args, cfg):
     violations = 0
     rng = acceptance._rng(args.seed, "hr-scan-resample")
     for t in ts:
-        mat = analysis.twisted_schur_form(E, lam, h, t)
-        ok = is_hr(mat)
-        rec = {"t": fmt_q(t), "inertia": inertia(mat).to_json(), "is_hr": ok}
-        if not ok and t != 0:
+        rec = {"t": fmt_q(t), **_form_payload(analysis.twisted_schur_form(E, lam, h, t))}
+        if not rec["is_hr"] and t != 0:
             t2 = Fraction(rng.randint(1, 64), 67)
-            ok2 = is_hr(analysis.twisted_schur_form(E, lam, h, t2))
+            ok2 = inertia(analysis.twisted_schur_form(E, lam, h, t2)).is_hr
             rec["resampled_t"] = fmt_q(t2)
             rec["resample_is_hr"] = ok2
             if not ok2:
@@ -353,12 +356,7 @@ def _cmd_polya(args, cfg):
             E.space.h11_basis(), CohClass.zero(E.space)
         )
         omega = analysis.polya_combination_class(lam, E, h, mus)
-        mat = intersection_form(omega, E.space)
-        payload["combination"] = {
-            "matrix": matrix_to_json(mat),
-            "inertia": inertia(mat).to_json(),
-            "is_weak_hr": is_weak_hr(mat),
-        }
+        payload["combination"] = _form_payload(intersection_form(omega, E.space))
         if minors and not payload["combination"]["is_weak_hr"]:
             code = CHECK_VIOLATION
     _emit(payload, args)
@@ -436,16 +434,8 @@ def _paper_examples(args):
     mix = []
     for t in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3)):
         res = analysis.p2p3_convex_example(t)
-        mix.append(
-            {
-                "t": fmt_q(t),
-                "matrix": matrix_to_json(res["matrix"]),
-                "matches_closed_form": res["matches_closed_form"],
-                "inertia": res["inertia"].to_json(),
-                "is_hr": res["is_hr"],
-                "is_weak_hr": res["is_weak_hr"],
-            }
-        )
+        mix.append({"t": fmt_q(t), **_form_payload(res["matrix"], res["inertia"]),
+                    "matches_closed_form": res["matches_closed_form"]})
     table = {
         e: [{"identity": name, "ok": ok} for name, ok in derived_table_check(e)]
         for e in (3, 4, 5)

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 All are ValueError subclasses so callers that only care about "bad input"
-can catch the base class; the CLI maps them to distinct diagnostics.
+can catch the base class.  ``cli.main`` prints any of them that reaches it
+as one ``error: <message>`` line and exits 1, whatever the subclass.
 """
 
 

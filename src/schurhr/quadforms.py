@@ -2,8 +2,8 @@
 
 Eigenvalues of a rational symmetric matrix are irrational in general, but
 the inertia triple (positive, negative, zero counts) is computable exactly
-by congruence reduction, which is all the Hodge-Riemann style predicates
-need.
+by congruence reduction, and the Hodge-Riemann style predicates are read
+off the triple.
 """
 
 from dataclasses import dataclass
@@ -23,6 +23,16 @@ class InertiaTriple:
     @property
     def dim(self):
         return self.n_plus + self.n_minus + self.n_zero
+
+    @property
+    def is_hr(self):
+        """Nondegenerate with exactly one positive eigenvalue."""
+        return self.n_zero == 0 and self.n_plus == 1
+
+    @property
+    def is_weak_hr(self):
+        """At most one positive eigenvalue and not negative definite."""
+        return self.n_plus <= 1 and (self.n_plus == 1 or self.n_zero >= 1)
 
     def to_json(self):
         return {"n_plus": self.n_plus, "n_minus": self.n_minus, "n_zero": self.n_zero}
@@ -105,18 +115,6 @@ def inertia(m):
         prev = d
         active = rest
     return InertiaTriple(n_plus, n_minus, len(active))
-
-
-def is_hr(m):
-    """Nondegenerate with exactly one positive eigenvalue."""
-    t = inertia(m)
-    return t.n_zero == 0 and t.n_plus == 1
-
-
-def is_weak_hr(m):
-    """At most one positive eigenvalue and not negative definite."""
-    t = inertia(m)
-    return t.n_plus <= 1 and (t.n_plus == 1 or t.n_zero >= 1)
 
 
 def matrix_to_json(m):

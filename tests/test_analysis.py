@@ -15,7 +15,7 @@ from schurhr.analysis import (Sequence, chern_power_sequence,
 from schurhr.bundles import SplitBundle, schur_class
 from schurhr.cohomology import CohClass, Space
 from schurhr.errors import DegreeMismatchError, PreconditionError
-from schurhr.quadforms import intersection_form, is_hr, is_weak_hr
+from schurhr.quadforms import inertia, intersection_form
 
 
 def _p2_bundle():
@@ -237,8 +237,8 @@ def test_twisted_forms_are_hr_for_positive_twists():
         for _ in range(5):
             t = Fraction(rng.randint(1, 8), rng.randint(1, 8))
             mat = twisted_schur_form(E, lam, (1, 1), min(t, Fraction(1)))
-            assert is_hr(mat)
-        assert is_weak_hr(intersection_form(schur_class(lam, E), X))
+            assert inertia(mat).is_hr
+        assert inertia(intersection_form(schur_class(lam, E), X)).is_weak_hr
 
 
 def _hypothesis_cases():

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from schurhr import acceptance, cli
+from schurhr import acceptance, cli, quadforms
 from schurhr.errors import DegreeMismatchError
 
 CLI = [sys.executable, "-m", "schurhr"]
@@ -132,6 +132,43 @@ def test_hr_scan(config):
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert all(rec["is_hr"] for rec in payload["scan"])
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_hr_scan_rejects_a_t_count_below_1(config, count, capsys):
+    # a scan that tested no twist must not report a pass
+    argv = ["hr-scan", "--config", config, "--bundle", "E", "--lambda", "col3",
+            "--t-count", count]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --t-count must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("argv, forms_of", [
+    (["form", "--bundle", "E", "--term", "3/4:3", "--term", "1/4:1,1,1"], lambda p: [p]),
+    (["polya", "--mus", "1,2,1", "--bundle", "E", "--lambda", "2,1"],
+     lambda p: [p["combination"]]),
+    (["hr-scan", "--bundle", "E", "--lambda", "col3", "--t-values", "1/10,1/4,1"],
+     lambda p: p["scan"]),
+    (["--paper-examples"], lambda p: p["convex_mix"]),
+])
+def test_each_reported_form_is_reduced_once(config, monkeypatch, capsys, argv, forms_of):
+    real, calls = quadforms.inertia, []
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("schurhr") and getattr(mod, "inertia", None) is real:
+            monkeypatch.setattr(mod, "inertia", spy)
+    if argv[0] != "--paper-examples":
+        argv = [argv[0], "--config", config, *argv[1:]]
+    assert cli.main(argv) == 0
+    forms = forms_of(json.loads(capsys.readouterr().out))
+    assert all(set(f) >= {"matrix", "inertia", "is_hr", "is_weak_hr"} for f in forms)
+    assert len(calls) == len(forms) > 0
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -16,7 +16,7 @@ from schurhr.bundles import SplitBundle, schur_class
 from schurhr.cohomology import CohClass, Space
 from schurhr.errors import PreconditionError
 from schurhr.partitions import dual_in_box, partitions_in_box, partitions_of
-from schurhr.quadforms import intersection_form, is_weak_hr
+from schurhr.quadforms import inertia, intersection_form
 from schurhr.realroots import count_distinct_real_roots, has_only_real_roots
 
 
@@ -256,7 +256,7 @@ def test_combination_class_weak_hr_for_binomial_weights():
         h = CohClass.linear(X, [rng.randint(0, 2) for _ in range(2)])
         mus = [comb(d - 2, k) for k in range(d - 1)]
         omega = polya_combination_class(lam, E, h, mus)
-        assert is_weak_hr(intersection_form(omega, X))
+        assert inertia(intersection_form(omega, X)).is_weak_hr
 
 
 def test_combination_class_preconditions():
@@ -273,5 +273,5 @@ def test_combination_class_preconditions():
 def test_failing_convex_mix_is_not_weak_hr():
     for t in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
         res = p2p3_convex_example(t)
-        assert not res["is_weak_hr"]
+        assert not res["inertia"].is_weak_hr
         assert res["inertia"].n_plus == 2

@@ -9,8 +9,7 @@ from schurhr.bundles import SplitBundle, schur_class
 from schurhr.cohomology import CohClass, Space
 from schurhr.errors import DegreeMismatchError
 from schurhr.partitions import partitions_of
-from schurhr.quadforms import (InertiaTriple, inertia, intersection_form, is_hr,
-                               is_weak_hr)
+from schurhr.quadforms import InertiaTriple, inertia, intersection_form
 
 
 def test_convex_mix_matrix():
@@ -20,7 +19,7 @@ def test_convex_mix_matrix():
         res = p2p3_convex_example(t)
         assert res["matrix"] == ((t, 2 * t), (2 * t, 1 + 2 * t))
         assert res["inertia"] == InertiaTriple(2, 0, 0)
-        assert not res["is_hr"]
+        assert not res["inertia"].is_hr
 
 
 def test_intersection_form_examples():
@@ -58,13 +57,13 @@ def test_inertia_rejects_asymmetric():
 
 
 def test_hr_predicates():
-    assert is_hr(((1, 2), (2, 3)))
-    assert not is_hr(((0, 0), (0, 1)))
-    assert is_weak_hr(((0, 0), (0, 1)))
-    assert not is_hr(((1, 0), (0, 1)))
-    assert not is_weak_hr(((1, 0), (0, 1)))
-    assert not is_weak_hr(((-1, 0), (0, -1)))  # negative definite
-    assert is_weak_hr(((0, 0), (0, 0)))
+    assert inertia(((1, 2), (2, 3))).is_hr
+    assert not inertia(((0, 0), (0, 1))).is_hr
+    assert inertia(((0, 0), (0, 1))).is_weak_hr
+    assert not inertia(((1, 0), (0, 1))).is_hr
+    assert not inertia(((1, 0), (0, 1))).is_weak_hr
+    assert not inertia(((-1, 0), (0, -1))).is_weak_hr  # negative definite
+    assert inertia(((0, 0), (0, 0))).is_weak_hr
 
 
 def test_hr_scale_invariance():
@@ -77,8 +76,8 @@ def test_hr_scale_invariance():
                 m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
         scaled = tuple(tuple(c * x for x in row) for row in m)
-        assert is_hr(m) == is_hr(scaled)
-        assert is_weak_hr(m) == is_weak_hr(scaled)
+        assert inertia(m).is_hr == inertia(scaled).is_hr
+        assert inertia(m).is_weak_hr == inertia(scaled).is_weak_hr
 
 
 def _random_invertible(rng, n):
@@ -126,7 +125,7 @@ def test_ample_powers_have_one_positive_eigenvalue():
             X = Space(shape.normalized)
             h = CohClass.linear(X, [rng.randint(1, 3) for _ in range(X.k)])
             omega = h ** (d - 2)
-            assert is_hr(intersection_form(omega, X))
+            assert inertia(intersection_form(omega, X)).is_hr
 
 
 def test_intersection_form_symmetry_by_construction():
@@ -191,7 +190,11 @@ def test_inertia_agrees_with_descartes_rule():
             s = [[Fraction(rng.randint(-1, 1)) for _ in range(n)] for _ in range(n)]
             s[rng.randrange(n)] = [Fraction(0)] * n
             m = _congruence(m, s)
-        assert inertia(m) == _descartes_inertia(m), m
+        t, want = inertia(m), _descartes_inertia(m)
+        assert t == want, m
+        # the predicates, from the oracle's counts
+        assert t.is_hr == (want.n_zero == 0 and want.n_plus == 1), m
+        assert t.is_weak_hr == (want.n_plus <= 1 and (want.n_plus == 1 or want.n_zero >= 1)), m
 
 
 def test_inertia_rejects_a_matrix_that_is_not_square():

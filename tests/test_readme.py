@@ -1,5 +1,7 @@
-"""README's command-line section runs as written."""
+"""README's library quick start and command-line section run as written."""
 
+import contextlib
+import io
 import re
 import shlex
 import subprocess
@@ -31,3 +33,14 @@ def test_every_command_line_example_exits_0(tmp_path):
             # the comment states what the command prints
             stated[comment.strip()] = r.stdout.strip()
     assert stated == {s: s for s in ("x1^2 + x1*x2 + x2^2", "c1^3 - 2*c1*c2 + c3")}
+
+
+def test_library_quick_start_prints_what_its_comments_state():
+    code = _block("python", "## Library quick start")
+    stated = [ln.partition("#")[2].strip() for ln in code.splitlines()
+              if ln.startswith("print(")]
+    assert len(stated) == 4 and all(stated)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == stated
