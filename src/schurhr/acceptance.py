@@ -145,8 +145,9 @@ def crit_convex_mix(seed, pool=None):
         if not res["matches_closed_form"]:
             failures.append(f"matrix at t={t} differs from closed form")
         if 0 < t < Fraction(1, 2):
-            if res["inertia"] != InertiaTriple(2, 0, 0):
-                failures.append(f"inertia at t={t} is {res['inertia']}")
+            ti = inertia(res["matrix"])
+            if ti != InertiaTriple(2, 0, 0):
+                failures.append(f"inertia at t={t} is {ti}")
     return _record(1, "convex-mix-form", len(ts), failures)
 
 
@@ -476,7 +477,7 @@ def crit_polya_suite(seed, pool=None):
     failures = _run_sharded(seed, pool, (_crit10_agree_one, ("polya",), n_agree),
                             (_crit10_comb_one, ("pcomb",), n_comb))
     for t in ts:
-        if analysis.p2p3_convex_example(t)["inertia"].is_weak_hr:
+        if inertia(analysis.p2p3_convex_example(t)["matrix"]).is_weak_hr:
             failures.append(f"non-PF mix unexpectedly weak-HR at t={t}")
     return _record(10, "polya-frequency-suite", n_agree + n_comb + len(ts), failures)
 

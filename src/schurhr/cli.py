@@ -67,11 +67,10 @@ def _emit(payload, args):
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
-def _form_payload(mat, t=None):
-    """A form's report: the matrix, its inertia t and both verdicts read off
-    t; t is computed here unless the caller already holds it."""
-    if t is None:
-        t = inertia(mat)
+def _form_payload(mat):
+    """A form's report: the matrix, its inertia and both verdicts read off
+    that one triple."""
+    t = inertia(mat)
     return {
         "matrix": matrix_to_json(mat),
         "inertia": t.to_json(),
@@ -283,11 +282,11 @@ def _cmd_hr_scan(args, cfg):
     E = _resolve_bundle(args, cfg)
     lam = _resolve_partition(args, cfg, "lam")
     h = _rats(args.h) if args.h else [1] * E.space.k
-    if args.t_count < 1:  # a scan of no twist would report a pass
-        raise CliError(f"--t-count must be at least 1, got {args.t_count}")
     if args.t_values:
         ts = _rats(args.t_values)
     else:
+        if args.t_count < 1:  # a scan of no twist would report a pass
+            raise CliError(f"--t-count must be at least 1, got {args.t_count}")
         rng = acceptance._rng(args.seed, "hr-scan")
         ts = [Fraction(rng.randint(1, 16), 16) for _ in range(args.t_count)]
     records = []
@@ -434,7 +433,7 @@ def _paper_examples(args):
     mix = []
     for t in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3)):
         res = analysis.p2p3_convex_example(t)
-        mix.append({"t": fmt_q(t), **_form_payload(res["matrix"], res["inertia"]),
+        mix.append({"t": fmt_q(t), **_form_payload(res["matrix"]),
                     "matches_closed_form": res["matches_closed_form"]})
     table = {
         e: [{"identity": name, "ok": ok} for name, ok in derived_table_check(e)]

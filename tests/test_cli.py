@@ -145,6 +145,16 @@ def test_hr_scan_rejects_a_t_count_below_1(config, count, capsys):
     assert out.err == f"error: --t-count must be at least 1, got {count}\n"
 
 
+def test_hr_scan_ignores_t_count_given_t_values(config):
+    # --t-count only sizes a random draw; explicit twists are still scanned
+    r = run(
+        "hr-scan", "--config", config, "--bundle", "E", "--lambda", "col3",
+        "--t-values", "1/2", "--t-count", "0",
+    )
+    assert r.returncode == 0
+    assert [rec["t"] for rec in json.loads(r.stdout)["scan"]] == ["1/2"]
+
+
 @pytest.mark.parametrize("argv, forms_of", [
     (["form", "--bundle", "E", "--term", "3/4:3", "--term", "1/4:1,1,1"], lambda p: [p]),
     (["polya", "--mus", "1,2,1", "--bundle", "E", "--lambda", "2,1"],

@@ -273,5 +273,5 @@ def test_combination_class_preconditions():
 def test_failing_convex_mix_is_not_weak_hr():
     for t in (Fraction(1, 10), Fraction(1, 4), Fraction(2, 5)):
         res = p2p3_convex_example(t)
-        assert not res["inertia"].is_weak_hr
-        assert res["inertia"].n_plus == 2
+        assert not inertia(res["matrix"]).is_weak_hr
+        assert inertia(res["matrix"]).n_plus == 2

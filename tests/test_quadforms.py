@@ -18,8 +18,8 @@ def test_convex_mix_matrix():
     for t in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3)):
         res = p2p3_convex_example(t)
         assert res["matrix"] == ((t, 2 * t), (2 * t, 1 + 2 * t))
-        assert res["inertia"] == InertiaTriple(2, 0, 0)
-        assert not res["inertia"].is_hr
+        assert inertia(res["matrix"]) == InertiaTriple(2, 0, 0)
+        assert not inertia(res["matrix"]).is_hr
 
 
 def test_intersection_form_examples():
