@@ -184,11 +184,9 @@ class InequalityResult:
         return {"lhs": fmt_q(self.lhs), "rhs": fmt_q(self.rhs), "ok": self.ok}
 
 
-def hodge_index_check(omega, alpha, beta, space=None):
+def hodge_index_check(omega, alpha, beta):
     """int a^2 O * int b^2 O <= (int a b O)^2 for weak-HR O and int b^2 O >= 0."""
-    if space is None:
-        space = omega.space
-    if not inertia(intersection_form(omega, space)).is_weak_hr:
+    if not inertia(intersection_form(omega)).is_weak_hr:
         raise PreconditionError("form does not have the weak one-positive-eigenvalue shape")
     bo = beta * omega
     bb = bo.pairing(beta)
@@ -490,10 +488,16 @@ def p2p3_convex_example(t):
 
 
 def twisted_schur_form(E, lam, h_coeffs, t):
-    """Intersection form of s_lam(E twisted by t * h), for nef E and h."""
+    """Intersection form of s_lam(E twisted by t * h), for nef E, ample h and
+    t >= 0; for t > 0 the twisted bundle is ample and the form is HR."""
     _nef_space(E)
-    _check_nef_class(CohClass.linear(E.space, h_coeffs))
+    h = CohClass.linear(E.space, h_coeffs)
+    _check_nef_class(h)
+    if len(h.terms) < E.space.k:  # ample: a positive coefficient on every factor
+        raise PreconditionError("h is not ample")
     t = parse_q(t)
+    if t < 0:
+        raise PreconditionError("t must be nonnegative")
     delta = [t * parse_q(c) for c in h_coeffs]
     return intersection_form(schur_class(lam, E.twisted_by(delta)))
 

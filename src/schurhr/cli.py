@@ -289,19 +289,12 @@ def _cmd_hr_scan(args, cfg):
             raise CliError(f"--t-count must be at least 1, got {args.t_count}")
         rng = acceptance._rng(args.seed, "hr-scan")
         ts = [Fraction(rng.randint(1, 16), 16) for _ in range(args.t_count)]
-    records = []
-    violations = 0
-    rng = acceptance._rng(args.seed, "hr-scan-resample")
-    for t in ts:
-        rec = {"t": fmt_q(t), **_form_payload(analysis.twisted_schur_form(E, lam, h, t))}
-        if not rec["is_hr"] and t != 0:
-            t2 = Fraction(rng.randint(1, 64), 67)
-            ok2 = inertia(analysis.twisted_schur_form(E, lam, h, t2)).is_hr
-            rec["resampled_t"] = fmt_q(t2)
-            rec["resample_is_hr"] = ok2
-            if not ok2:
-                violations += 1
-        records.append(rec)
+    records = [
+        {"t": fmt_q(t), **_form_payload(analysis.twisted_schur_form(E, lam, h, t))}
+        for t in ts
+    ]
+    # h is ample, so each twist t > 0 makes E ample and its form must be HR
+    violations = sum(t > 0 and not rec["is_hr"] for t, rec in zip(ts, records))
     _emit({"h": [fmt_q(c) for c in h], "scan": records, "violations": violations}, args)
     return CHECK_VIOLATION if violations else 0
 
@@ -356,7 +349,7 @@ def _cmd_polya(args, cfg):
         )
         omega = analysis.polya_combination_class(lam, E, h, mus)
         payload["combination"] = _form_payload(intersection_form(omega, E.space))
-        if minors and not payload["combination"]["is_weak_hr"]:
+        if roots and not payload["combination"]["is_weak_hr"]:
             code = CHECK_VIOLATION
     _emit(payload, args)
     return code

@@ -125,6 +125,18 @@ def test_every_instance_draws_from_its_own_stream():
         assert acceptance._run_sharded(SEED, pool, *jobs) == want
 
 
+def test_every_draw_of_a_run_is_an_instance_stream(monkeypatch):
+    real, callers = acceptance._rng, set()
+
+    def spy(seed, label):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return real(seed, label)
+
+    monkeypatch.setattr(acceptance, "_rng", spy)
+    assert acceptance.run_all(SEED, workers=1)["ok"]
+    assert callers == {"_instance"}
+
+
 def test_rand_partition_draws_as_a_fresh_list_would():
     from schurhr.partitions import Partition, partitions_of
 

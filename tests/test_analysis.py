@@ -61,7 +61,7 @@ def test_monomial_positivity_example():
 def test_hodge_index_equality_case():
     P3 = Space([3])
     t = P3.h11_basis()[0]
-    res = hodge_index_check(t, t, t, P3)
+    res = hodge_index_check(t, t, t)
     assert res.lhs == res.rhs == 1
     assert res.ok
 
@@ -70,10 +70,10 @@ def test_hodge_index_on_product_example():
     X, E = _p2p3_bundle()
     a, b = X.h11_basis()
     omega = schur_class((1, 1, 1), E)
-    res = hodge_index_check(omega, a, b, X)
+    res = hodge_index_check(omega, a, b)
     assert (res.lhs, res.rhs) == (3, 4)
     assert res.ok
-    res2 = hodge_index_check(omega, a - 2 * b, b, X)
+    res2 = hodge_index_check(omega, a - 2 * b, b)
     assert (res2.lhs, res2.rhs) == (15, 16)
     assert res2.ok
 
@@ -84,7 +84,7 @@ def test_hodge_index_precondition_failure_is_loud():
     # two positive eigenvalues: the pairing of a^2 + b^2 style forms
     omega = a * a + b * b
     with pytest.raises(PreconditionError):
-        hodge_index_check(omega, a, b, X)
+        hodge_index_check(omega, a, b)
 
 
 def test_improved_inequality_examples():
@@ -268,8 +268,8 @@ def _hypothesis_cases():
         ("monomial/nef", lambda: A.monomial_positivity([bad2], [(1, 1)], [0]), P),
         ("monomial/degree", lambda: A.monomial_positivity([E2], [(1,)], [0]), D),
         ("monomial/nef-first", lambda: A.monomial_positivity([bad2], [(1,)], [0]), P),
-        ("hodge/shape", lambda: A.hodge_index_check(a * a + b * b, a, b, X22), P),
-        ("hodge/beta", lambda: A.hodge_index_check(-(a * b), a, a + b, X22), P),
+        ("hodge/shape", lambda: A.hodge_index_check(a * a + b * b, a, b), P),
+        ("hodge/beta", lambda: A.hodge_index_check(-(a * b), a, a + b), P),
         ("improved/weight", lambda: A.schur_hodge_improved_check(E22, h, (1,), a), D),
         ("improved/nef", lambda: A.schur_hodge_improved_check(bad22, h, (2, 1), a), P),
         ("improved/h", lambda: A.schur_hodge_improved_check(E22, bad_h, (2, 1), a), P),
@@ -285,6 +285,10 @@ def _hypothesis_cases():
         ("pair-values/d", lambda: A.pair_value_sequence((1,), (1,), 3, [1], [1]), P),
         ("pair-values/x", lambda: A.pair_value_sequence((1,), (1,), 2, [-1], [1]), P),
         ("pair-values/y", lambda: A.pair_value_sequence((1,), (1,), 2, [1], [-1]), P),
+        ("twisted/nef", lambda: A.twisted_schur_form(bad22, (1, 1), (1, 1), 1), P),
+        ("twisted/h", lambda: A.twisted_schur_form(E22, (1, 1), (1, -1), 1), P),
+        ("twisted/ample", lambda: A.twisted_schur_form(E22, (1, 1), (1, 0), 1), P),
+        ("twisted/t", lambda: A.twisted_schur_form(E22, (1, 1), (1, 1), -1), P),
         ("polya-minors/length", lambda: A.polya_check_minors([1] * 9), P),
         ("polya-class/weight", lambda: A.polya_combination_class((1,), E22, h, [1]), D),
         ("polya-class/nef", lambda: A.polya_combination_class((1, 1), bad22, h, [1]), P),

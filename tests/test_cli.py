@@ -124,6 +124,16 @@ def test_polya_subcommand():
     assert payload["routes_agree"] is None and payload["real_rooted"] is False
 
 
+@pytest.mark.parametrize("mus", ["1,2,1", "1,8,28,56,70,56,28,8,1"])
+def test_polya_combination_verdict_reaches_the_exit_code(mus, monkeypatch, capsys):
+    # the root route decides the sequence on both sides of the length cap
+    monkeypatch.setattr(quadforms.InertiaTriple, "is_weak_hr", False)
+    argv = ["polya", "--space", "2,3", "--lines", "1,0;1,0;0,1", "--lambda", "1,1,1",
+            "--mus", mus]
+    assert cli.main(argv) == cli.CHECK_VIOLATION
+    assert json.loads(capsys.readouterr().out)["combination"]["is_weak_hr"] is False
+
+
 def test_hr_scan(config):
     r = run(
         "hr-scan", "--config", config, "--bundle", "E", "--lambda", "col3",
@@ -184,6 +194,8 @@ def test_each_reported_form_is_reduced_once(config, monkeypatch, capsys, argv, f
 @pytest.mark.parametrize("extra, message", [
     (["--lines", "-1,0;0,1"], "bundle is not nef"),
     (["--lines", "1,0;0,1", "--h", "-1,1"], "h is not nef"),
+    (["--lines", "1,0;0,1", "--h", "1,0"], "h is not ample"),
+    (["--lines", "1,0;0,1", "--t-values=-1/2"], "t must be nonnegative"),
 ])
 def test_hr_scan_checks_its_hypotheses(extra, message):
     # a violated hypothesis is bad input (exit 1), not a failed check (exit 2)

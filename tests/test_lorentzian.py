@@ -142,11 +142,6 @@ def test_certify_passes_on_the_retry(fail_first_lorentzian_check):
     assert fail_first_lorentzian_check == [Fraction(1, 100), Fraction(1, 1000)]
 
 
-def test_criterion_11_instance_passes_on_the_retry(fail_first_lorentzian_check):
-    assert acceptance._crit11_lor_one(0) == []
-    assert fail_first_lorentzian_check == [Fraction(1, 100), Fraction(1, 1000)]
-
-
 def test_perturbed_certification_across_shapes():
     for e in (1, 2, 3):
         for w in range(2, 6):
