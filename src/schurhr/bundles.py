@@ -12,10 +12,12 @@ nonnegative.
 from fractions import Fraction
 from math import comb
 
+from . import kernels
 from .cohomology import CohClass, Space, class_det
 from .errors import SpaceMismatchError
 from .partitions import Partition
 from .rationals import common_denominator, fmt_q, parse_q
+from .schur import derived_chern
 
 
 class SplitBundle:
@@ -174,13 +176,24 @@ def char_class(p, E):
     return p.substitute(E.chern_roots())
 
 
+def _integral_roots(E):
+    """(b, E_b): b the common denominator of the twist, and E_b the bundle
+    with lines b * line and twist b * delta, whose roots are b times those
+    of E and integral."""
+    b = common_denominator(E.twist)
+    if b > 1:
+        E = SplitBundle(E.space, [[b * a for a in line] for line in E.lines],
+                        [b * d for d in E.twist])
+    return b, E
+
+
 def schur_class(lam, E):
     """Schur class from the determinant in the Chern classes of E.
 
-    The determinant runs over integer roots.  With b the common denominator
-    of the twist, the bundle E_b with lines b * line and twist b * delta has
-    integral roots, b times those of E; s_lam is homogeneous of degree |lam|
-    in the roots, so s_lam(E) = s_lam(E_b) / b^|lam|, divided out once.
+    The determinant runs over integer roots: s_lam is homogeneous of degree
+    |lam| in the roots, so s_lam(E) = s_lam(E_b) / b^|lam| (``_integral_roots``),
+    divided out once.  It is the independent route to what
+    ``derived_schur_classes`` reads off the e-basis slices.
     """
     lam = Partition(lam)
     if lam.first > E.rank:
@@ -188,10 +201,7 @@ def schur_class(lam, E):
     parts = lam.normalized
     if not parts:
         return CohClass.unit(E.space)
-    b = common_denominator(E.twist)
-    if b > 1:
-        E = SplitBundle(E.space, [[b * a for a in line] for line in E.lines],
-                        [b * d for d in E.twist])
+    b, E = _integral_roots(E)
     cs = chern_all(E)
     zero = CohClass.zero(E.space)
     n = len(parts)
@@ -207,48 +217,70 @@ def schur_class(lam, E):
 def derived_schur_classes(lam, E, imax=None):
     """The classes (s_lam^(0)(E), ..., s_lam^(imax)(E)) in one pass.
 
-    Computed on the product with an extra projective factor: twisting by
-    the new hyperplane class and expanding the Schur class in its powers
-    yields every shift-order slice at once.  With imax = 0 the one slice is
-    the Schur class itself, and no factor is added.
+    Each slice s_lam^(i) is a polynomial in the elementary symmetric
+    polynomials (``schur.derived_chern``, once per shape and rank); the
+    class puts c_k(E) in place of e_k, over one table of Chern monomials
+    (``_slices_at``).  With imax = 0 the one slice is ``schur_class``.
     """
     lam = Partition(lam)
-    b = lam.weight
+    w = lam.weight
     if imax is None:
-        imax = b
-    imax = min(int(imax), b)
+        imax = w
+    imax = min(int(imax), w)
     if imax < 0:
         return []
-    if lam.first > E.rank:
-        return [CohClass.zero(E.space)] * (imax + 1)
-    if b == 0:
-        return [CohClass.unit(E.space)]
     if imax == 0:
         return [schur_class(lam, E)]
+    return _slices_at(lam, E, range(imax + 1))
+
+
+def _slices_at(lam, E, indices):
+    """[s_lam^(i)(E) for i in indices], each 0 <= i <= |lam|.
+
+    The Chern classes are those of E_b (``_integral_roots``), so every
+    product is over ints; s_lam^(i) is homogeneous of degree |lam| - i in
+    the roots, so slice i is divided once by b^(|lam| - i).  A slice of
+    degree above dim is zero.  c_1^a_1 * ... * c_e^a_e is memoised, each
+    monomial one c_j times a smaller one, the smallest j taken off first.
+    """
     space = E.space
-    aug = Space(space.factors + (imax,))
-    lifted = SplitBundle(
-        aug,
-        [line + (0,) for line in E.lines],
-        E.twist + (1,),
-    )
-    s = schur_class(lam, lifted)
-    # the new factor's field sits above those of space, which aug shares
-    shift = aug.shifts[-1]
-    low = (1 << shift) - 1
-    buckets = [{} for _ in range(imax + 1)]
-    for key, c in s.terms.items():
-        i = key >> shift
-        if i <= imax:
-            buckets[i][key & low] = c
-    # slices of a capped, canonical class are clean already
-    return [CohClass._raw(space, terms) for terms in buckets]
+    w = lam.weight
+    formal = derived_chern(lam, E.rank)
+    b, Eb = _integral_roots(E)
+    cs = [c.terms for c in chern_all(Eb)]
+    unit = (0,) * E.rank
+    monos = {unit: cs[0]}
+    bias, guard = space.bias, space.guard
+
+    def mono(exps):
+        got = monos.get(exps)
+        if got is None:
+            j = next(j for j, a in enumerate(exps) if a)
+            smaller = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+            got = monos[exps] = kernels.mul_terms_capped(mono(smaller), cs[j + 1], bias, guard)
+        return got
+
+    out = []
+    for i in indices:
+        terms = {}
+        if w - i <= space.dim:
+            for exps, c in formal[i].items():
+                kernels.add_scaled(terms, mono(exps), c)
+        cls = CohClass._raw(space, terms)
+        out.append(cls.scale(Fraction(1, b ** (w - i))) if b > 1 else cls)
+    del mono  # the closure refers to itself: break the cycle, so monos dies now
+    return out
 
 
 def derived_schur_class(lam, i, E):
-    """Single shift-order slice s_lam^(i)(E); zero outside 0 <= i <= |lam|."""
+    """Single shift-order slice s_lam^(i)(E); zero outside 0 <= i <= |lam|.
+
+    Slice 0 is ``schur_class``; any other is read off the table alone.
+    """
     lam = Partition(lam)
     i = int(i)
     if i < 0 or i > lam.weight:
         return CohClass.zero(E.space)
-    return derived_schur_classes(lam, E, imax=i)[i]
+    if i == 0:
+        return schur_class(lam, E)
+    return _slices_at(lam, E, [i])[0]

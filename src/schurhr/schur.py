@@ -10,6 +10,8 @@ Shift expansions: s_lam(x_1 + t, ..., x_e + t) = sum_i s_lam^(i)(x) t^i
 defines the derived polynomials s_lam^(i), homogeneous of degree |lam| - i.
 They are computed from the operator D = sum_j d/dx_j: by Taylor's formula
 along (1, ..., 1), s_lam^(i) = D s_lam^(i-1) / i, an exact integer division.
+The same slices written in the elementary symmetric polynomials e_1, ..., e_e
+come from the same operator, which acts there by D e_k = (e - k + 1) e_(k-1).
 """
 
 import threading
@@ -24,12 +26,16 @@ from .rationals import fmt_terms
 _cache_lock = threading.Lock()
 _jt_cache = {}
 _derived_cache = {}
+_derived_chern_cache = {}
+_derived_chern_keys = {}
 
 
 def clear_caches():
     with _cache_lock:
         _jt_cache.clear()
         _derived_cache.clear()
+        _derived_chern_cache.clear()
+        _derived_chern_keys.clear()
 
 
 def schur_jt(lam, e):
@@ -98,14 +104,77 @@ def _taylor_step(terms, i):
             if x:
                 key = exps[:j] + (x - 1,) + exps[j + 1:]
                 out[key] = out.get(key, 0) + c * x
+    return _exact_quotient(out, i)
+
+
+def _exact_quotient(terms, i):
+    """terms / i, or ArithmeticError naming the first inexact coefficient."""
     result = {}
-    for key, v in out.items():
+    for key, v in terms.items():
         q, r = divmod(v, i)
         if r:
             raise ArithmeticError(f"Taylor step {i}: {v} at {key} is not a multiple of {i}")
         if q:
             result[key] = q
     return result
+
+
+def derived_chern(lam, e):
+    """The slices s_lam^(0), ..., s_lam^(|lam|) in e_1, ..., e_e.
+
+    Each slice is a term dict keyed by the exponents (a_1, ..., a_e) of
+    e_1^a_1 * ... * e_e^a_e.  Slice 0 is the Jacobi-Trudi determinant over
+    single-monomial entries; slice i is D(slice i-1) / i, where D acts on
+    the e-basis as the derivation D e_k = (e - k + 1) e_(k-1), e_0 = 1.
+    Substituting e_k = elementary(k, e) gives ``derived_all(lam, e)``.
+    """
+    lam = Partition(lam)
+    e = int(e)
+    key = (lam.normalized, e)
+    with _cache_lock:
+        hit = _derived_chern_cache.get(key)
+    if hit is not None:
+        return hit
+    parts = lam.normalized
+    n = len(parts)
+    unit = (0,) * e
+
+    def entry(k):
+        if k == 0:
+            return {unit: 1}
+        if 0 < k <= e:
+            return {unit[:k - 1] + (1,) + unit[k:]: 1}
+        return {}
+
+    if n == 0:
+        slices = [{unit: 1}]
+    else:
+        rows = [[entry(parts[r] - r + s) for s in range(n)] for r in range(n)]
+        slices = [kernels.det_terms(rows, kernels.mul_terms)]
+    for i in range(1, lam.weight + 1):
+        slices.append(_e_taylor_step(slices[-1], i, e))
+    with _cache_lock:
+        # shapes share their few exponent tuples; the cache keeps one of each
+        keep = _derived_chern_keys.setdefault
+        result = tuple({keep(k, k): c for k, c in s.items()} for s in slices)
+        _derived_chern_cache[key] = result
+    return result
+
+
+def _e_taylor_step(terms, i, e):
+    """D(terms) / i for terms keyed by exponents of e_1, ..., e_e."""
+    out = {}
+    for exps, c in terms.items():
+        for j, a in enumerate(exps):
+            if a:
+                # d/de_(j+1) times D e_(j+1) = (e - j) e_j
+                key = list(exps)
+                key[j] -= 1
+                if j:
+                    key[j - 1] += 1
+                key = tuple(key)
+                out[key] = out.get(key, 0) + c * a * (e - j)
+    return _exact_quotient(out, i)
 
 
 def derived_schur(lam, i, e):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from schurhr import bundles, cohomology, kernels
 from schurhr.bundles import (SplitBundle, char_class, chern, chern_all,
@@ -212,21 +212,79 @@ def test_derived_classes_satisfy_twist_rule(inst):
     assert rhs == char_class(schur_jt(lam, E.rank), E.twisted_by(delta))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_twisted_instances())
-def test_derived_slices_by_packed_field_match_tuple_slices(inst):
-    # derived_schur_classes cuts the packed keys at the extra factor's
-    # field; cutting the exponent tuples of the same class must agree
-    E, lam, _ = inst
+@st.composite
+def _oracle_instances(draw):
+    """A bundle of rank 1-4 with a rational twist that may be negative (so
+    not nef) on 1-3 factors, some of dimension 1, a partition fitting its
+    rank, and an imax from 1 to |lam| + 1."""
+    X = Space(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    rank = draw(st.integers(1, 4))
+    lines = draw(st.lists(st.tuples(*[st.integers(-1, 2)] * X.k),
+                          min_size=rank, max_size=rank))
+    twist = draw(st.tuples(*[_twist_coords] * X.k))
+    w = draw(st.integers(1, min(5, X.dim + 2)))
+    lam = draw(st.sampled_from(list(partitions_of(w, max_part=rank))))
+    return SplitBundle(X, lines, twist), lam, draw(st.integers(1, w + 1))
+
+
+def _lifted_space_slices(lam, E, imax):
+    """The slices up to imax by the lifted-space route: s_lam of E twisted
+    by the hyperplane class t of an extra factor P^m, in the product ring,
+    expanded in the powers of t."""
     X = E.space
     m = max(sum(lam), 1)
     aug = Space(X.factors + (m,))
     lifted = SplitBundle(aug, [line + (0,) for line in E.lines], E.twist + (1,))
-    slices = [{} for _ in range(sum(lam) + 1)]
+    slices = [{} for _ in range(min(imax, sum(lam)) + 1)]
     for exps, c in schur_class(lam, lifted).exps_terms().items():
-        slices[exps[-1]][exps[:-1]] = c
-    assert [c.exps_terms() for c in derived_schur_classes(lam, E)] == slices
-    assert aug.shifts[:-1] == X.shifts
+        if exps[-1] <= imax:
+            slices[exps[-1]][exps[:-1]] = c
+    return slices
+
+
+@settings(max_examples=60, deadline=None)
+@given(_oracle_instances())
+@example((SplitBundle(Space([1, 1]), [(1, 0), (0, 1), (1, 1), (2, 0)],
+                      (Fraction(-1, 2), Fraction(1, 3))), (2, 1, 1), 2))
+@example((SplitBundle(Space([1, 2, 1]), [(-1, 2, 0), (0, 1, 1), (1, 0, 2)],
+                      (Fraction(-2, 3), 0, Fraction(1, 2))), (2, 2, 1), 3))
+@example((SplitBundle(Space([3]), [(1,), (0,), (2,), (1,)], (Fraction(-1, 4),)),
+          (1, 1, 1, 1), 1))
+def test_derived_slices_match_lifted_space_oracle(inst):
+    # derived_schur_classes reads the slices off the e-basis expansion; the
+    # Schur class of the bundle lifted to X x P^m and twisted by the new
+    # hyperplane class expands into the same slices in that class's powers
+    E, lam, imax = inst
+    got = derived_schur_classes(lam, E, imax)
+    assert [c.exps_terms() for c in got] == _lifted_space_slices(lam, E, imax)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_oracle_instances())
+def test_single_slice_is_that_slice_of_all(inst):
+    E, lam, _ = inst
+    w = sum(lam)
+    every = derived_schur_classes(lam, E)
+    for i in range(-2, w + 3):
+        want = every[i] if 0 <= i <= w else CohClass.zero(E.space)
+        assert derived_schur_class(lam, i, E) == want
+
+
+def test_derived_classes_take_no_determinant(monkeypatch):
+    # with imax >= 1 no determinant over the Chern classes is taken, so
+    # slice 0 is a route separate from schur_class's
+    X = Space([2, 1, 2])
+    E = SplitBundle(X, [(1, 0, 2), (0, 1, 1), (2, 1, 0)],
+                    (Fraction(1, 2), Fraction(-2, 3), 0))
+    lam = (2, 1, 1)
+    want = [schur_class(lam, E)] + [derived_schur_class(lam, i, E) for i in range(1, 5)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a determinant over the Chern classes was taken")
+
+    monkeypatch.setattr(bundles, "class_det", forbidden)
+    monkeypatch.setattr(bundles, "schur_class", forbidden)
+    assert derived_schur_classes(lam, E) == want
 
 
 def test_schur_class_multiplies_integers_only(monkeypatch):
@@ -284,7 +342,7 @@ def test_serialization_round_trip():
 @settings(max_examples=40, deadline=None)
 @given(_twisted_instances())
 def test_zeroth_slice_alone_is_the_schur_class(inst):
-    # imax = 0 skips the extra factor; the lifted route's slice 0 agrees
+    # imax = 0 returns the Schur class itself; the e-basis slice 0 agrees
     E, lam, _ = inst
     assert derived_schur_classes(lam, E, 0) == [schur_class(lam, E)]
     assert derived_schur_classes(lam, E, 1)[0] == schur_class(lam, E)

@@ -7,12 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurhr import schur
 from schurhr.partitions import Partition, partitions_in_box, partitions_up_to
 from schurhr.polyring import MultiPoly, elementary
-from schurhr.schur import (_taylor_step, derived_all, derived_schur,
-                           derived_table_check, dual_reversal_check,
-                           elementary_row_check, format_elementary, schur_jt,
-                           schur_ssyt, to_elementary_basis)
+from schurhr.schur import (_e_taylor_step, _taylor_step, derived_all,
+                           derived_chern, derived_schur, derived_table_check,
+                           dual_reversal_check, elementary_row_check,
+                           format_elementary, schur_jt, schur_ssyt,
+                           to_elementary_basis)
 
 
 def test_jt_examples():
@@ -107,6 +109,32 @@ def test_taylor_step_rejects_an_inexact_division():
     assert _taylor_step({(2, 0): 1, (1, 1): 1}, 1) == {(1, 0): 3, (0, 1): 1}
     with pytest.raises(ArithmeticError):
         _taylor_step({(2, 0): 1, (1, 1): 1}, 2)
+    # the e-basis step shares the division: in one variable D(e_1^2) = 2 e_1
+    assert _e_taylor_step({(2,): 1}, 2, 1) == {(1,): 1}
+    with pytest.raises(ArithmeticError):
+        _e_taylor_step({(2,): 1}, 4, 1)
+
+
+def test_e_basis_slices_are_the_shift_slices():
+    # the Taylor operator in the e-basis against the one in the x-basis:
+    # e_k -> elementary(k, e) takes every slice of derived_chern to the
+    # slice of derived_all
+    for lam in partitions_up_to(8):
+        for e in range(1, 5):
+            elems = [elementary(k, e) for k in range(1, e + 1)]
+            formal = derived_chern(lam, e)
+            slices = derived_all(lam, e)
+            assert len(formal) == len(slices) == lam.weight + 1
+            for terms, want in zip(formal, slices):
+                assert MultiPoly(e, terms).substitute(elems) == want
+
+
+def test_clear_caches_drops_the_e_basis_slices():
+    first = derived_chern((2, 1), 3)
+    assert derived_chern((2, 1), 3) is first
+    schur.clear_caches()
+    again = derived_chern((2, 1), 3)
+    assert again is not first and again == first
 
 
 def test_derived_coefficients_nonnegative():
