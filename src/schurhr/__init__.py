@@ -19,16 +19,16 @@ from .analysis import (InequalityResult, LorentzianReport, Sequence,
 from .bundles import (SplitBundle, char_class, chern, chern_all,
                       chern_twist_rule, class_is_nef,
                       derived_schur_class, derived_schur_classes, schur_class)
-from .cohomology import CohClass, Space, class_det
+from .cohomology import CohClass, Space, evaluate_terms
 from .errors import DegreeMismatchError, PreconditionError, SpaceMismatchError
 from .partitions import (Partition, dual_in_box, partitions_in_box,
                          partitions_of, partitions_up_to, ssyt_count,
                          ssyt_weight_counts)
 from .polyring import MultiPoly, elementary
 from .quadforms import InertiaTriple, inertia, intersection_form
-from .schur import (derived_all, derived_schur, derived_table_check,
-                    dual_reversal_check, elementary_row_check, schur_jt,
-                    schur_ssyt, to_elementary_basis)
+from .schur import (derived_all, derived_chern, derived_schur,
+                    derived_table_check, dual_reversal_check,
+                    elementary_row_check, schur_jt, schur_ssyt)
 
 __version__ = "0.1.0"
 

@@ -7,13 +7,17 @@ Chern roots are (line_i + delta) as degree-1 classes.  On these spaces a
 degree-1 class is nef exactly when its coordinates are nonnegative, so a
 split twisted bundle is nef exactly when every root is coordinatewise
 nonnegative.
+
+Schur classes and their shift slices s_lam^(i)(E) take one route: the
+e-basis slices of ``schur.derived_chern`` evaluated at the Chern classes,
+the Schur class being slice 0.  ``char_class``, a symmetric polynomial
+evaluated at the Chern roots, is the independent route.
 """
 
 from fractions import Fraction
 from math import comb
 
-from . import kernels
-from .cohomology import CohClass, Space, class_det
+from .cohomology import CohClass, Space, evaluate_terms
 from .errors import SpaceMismatchError
 from .partitions import Partition
 from .rationals import common_denominator, fmt_q, parse_q
@@ -188,30 +192,8 @@ def _integral_roots(E):
 
 
 def schur_class(lam, E):
-    """Schur class from the determinant in the Chern classes of E.
-
-    The determinant runs over integer roots: s_lam is homogeneous of degree
-    |lam| in the roots, so s_lam(E) = s_lam(E_b) / b^|lam| (``_integral_roots``),
-    divided out once.  It is the independent route to what
-    ``derived_schur_classes`` reads off the e-basis slices.
-    """
-    lam = Partition(lam)
-    if lam.first > E.rank:
-        return CohClass.zero(E.space)
-    parts = lam.normalized
-    if not parts:
-        return CohClass.unit(E.space)
-    b, E = _integral_roots(E)
-    cs = chern_all(E)
-    zero = CohClass.zero(E.space)
-    n = len(parts)
-
-    def entry(i):
-        return cs[i] if 0 <= i <= E.rank else zero
-
-    rows = [[entry(parts[r] - r + s) for s in range(n)] for r in range(n)]
-    det = class_det(rows)
-    return det.scale(Fraction(1, b ** lam.weight)) if b > 1 else det
+    """Schur class s_lam(E): slice 0 of the e-basis expansion (``_slices_at``)."""
+    return _slices_at(Partition(lam), E, [0])[0]
 
 
 def derived_schur_classes(lam, E, imax=None):
@@ -219,8 +201,7 @@ def derived_schur_classes(lam, E, imax=None):
 
     Each slice s_lam^(i) is a polynomial in the elementary symmetric
     polynomials (``schur.derived_chern``, once per shape and rank); the
-    class puts c_k(E) in place of e_k, over one table of Chern monomials
-    (``_slices_at``).  With imax = 0 the one slice is ``schur_class``.
+    class puts c_k(E) in place of e_k (``_slices_at``).
     """
     lam = Partition(lam)
     w = lam.weight
@@ -237,50 +218,28 @@ def derived_schur_classes(lam, E, imax=None):
 def _slices_at(lam, E, indices):
     """[s_lam^(i)(E) for i in indices], each 0 <= i <= |lam|.
 
-    The Chern classes are those of E_b (``_integral_roots``), so every
+    Every slice is zero when lam_1 exceeds the rank, and one of degree
+    |lam| - i above dim is zero.  The others are ``schur.derived_chern``
+    evaluated at the Chern classes of E_b (``_integral_roots``), so every
     product is over ints; s_lam^(i) is homogeneous of degree |lam| - i in
-    the roots, so slice i is divided once by b^(|lam| - i).  A slice of
-    degree above dim is zero.  c_1^a_1 * ... * c_e^a_e is memoised, each
-    monomial one c_j times a smaller one, the smallest j taken off first.
+    the roots, so slice i is divided once by b^(|lam| - i).
     """
     space = E.space
+    if lam.first > E.rank:
+        return [CohClass.zero(space) for _ in indices]
     w = lam.weight
     formal = derived_chern(lam, E.rank)
     b, Eb = _integral_roots(E)
-    cs = [c.terms for c in chern_all(Eb)]
-    unit = (0,) * E.rank
-    monos = {unit: cs[0]}
-    bias, guard = space.bias, space.guard
-
-    def mono(exps):
-        got = monos.get(exps)
-        if got is None:
-            j = next(j for j, a in enumerate(exps) if a)
-            smaller = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
-            got = monos[exps] = kernels.mul_terms_capped(mono(smaller), cs[j + 1], bias, guard)
-        return got
-
-    out = []
-    for i in indices:
-        terms = {}
-        if w - i <= space.dim:
-            for exps, c in formal[i].items():
-                kernels.add_scaled(terms, mono(exps), c)
-        cls = CohClass._raw(space, terms)
-        out.append(cls.scale(Fraction(1, b ** (w - i))) if b > 1 else cls)
-    del mono  # the closure refers to itself: break the cycle, so monos dies now
-    return out
+    polys = [formal[i] if w - i <= space.dim else {} for i in indices]
+    classes = evaluate_terms(polys, chern_all(Eb)[1:])
+    return [cls.scale(Fraction(1, b ** (w - i))) if b > 1 else cls
+            for i, cls in zip(indices, classes)]
 
 
 def derived_schur_class(lam, i, E):
-    """Single shift-order slice s_lam^(i)(E); zero outside 0 <= i <= |lam|.
-
-    Slice 0 is ``schur_class``; any other is read off the table alone.
-    """
+    """Single shift-order slice s_lam^(i)(E); zero outside 0 <= i <= |lam|."""
     lam = Partition(lam)
     i = int(i)
     if i < 0 or i > lam.weight:
         return CohClass.zero(E.space)
-    if i == 0:
-        return schur_class(lam, E)
     return _slices_at(lam, E, [i])[0]

@@ -19,8 +19,8 @@ from .partitions import Partition
 from .polyring import MultiPoly
 from .quadforms import inertia, intersection_form, matrix_to_json
 from .rationals import fmt_q, parse_q
-from .schur import (derived_schur, derived_table_check, format_elementary,
-                    schur_jt, to_elementary_basis)
+from .schur import (derived_chern, derived_schur, derived_table_check,
+                    format_elementary, schur_jt)
 
 USAGE_ERROR, CHECK_VIOLATION = 1, 2
 
@@ -203,7 +203,9 @@ def _cmd_schur(args, cfg):
     else:
         p = derived_schur(lam, args.derived, args.vars)
     if args.basis == "c":
-        rendered = format_elementary(to_elementary_basis(p))
+        i = args.derived or 0
+        slices = derived_chern(lam, args.vars)
+        rendered = format_elementary(slices[i] if 0 <= i < len(slices) else {})
     else:
         rendered = str(p)
     if args.json:

@@ -5,6 +5,8 @@ pullbacks tau_1, ..., tau_k subject to tau_j^(n_j + 1) = 0; integration
 reads off the coefficient of the top monomial tau_1^n_1 * ... * tau_k^n_k.
 Classes are stored sparsely and truncated eagerly on multiplication.
 Terms are keyed by packed exponent vectors (Monagan and Pearce, CASC 2007).
+Polynomials given as term dicts are evaluated at classes, each monomial
+formed once for all of them (``evaluate_terms``).
 """
 
 from . import kernels
@@ -159,21 +161,46 @@ class CohClass(kernels.TermElement):
         return canon(total)
 
 
-def class_det(rows):
-    """Determinant of a square CohClass matrix.
+def evaluate_terms(polys, classes):
+    """[p(classes) for p in polys], all on the space of the classes.
 
-    The truncated ring has zero divisors, so elimination methods do not
-    apply; the entries go through the division-free ``kernels.det_terms``.
-    Every entry must live on the same space.
+    Each p is a term dict keyed by exponent tuples (a_1, ..., a_r), one
+    entry per class, and p(classes) is the sum of c * x_1^a_1 * ... * x_r^a_r
+    with x_j = classes[j - 1].  Every monomial that some p uses is formed
+    once for all of polys, as x_j times its parent, the monomial with a_j
+    one lower for the smallest j with a_j > 0.  The tree of parents is
+    walked depth first, so only the monomials on one path are held at once.
     """
-    if not rows:
-        raise ValueError("empty matrix")
-    if any(len(r) != len(rows) for r in rows):
-        raise ValueError("matrix is not square")
-    first = rows[0][0]
-    for r in rows:
-        for x in r:
-            first._check_ring(x)
+    classes = list(classes)
+    if not classes:
+        raise ValueError("need at least one class")
+    first = classes[0]
+    for x in classes:
+        first._check_ring(x)
     space = first.space
-    terms = kernels.det_terms([[x.terms for x in r] for r in rows], first._mul)
-    return CohClass._raw(space, terms)
+    xs = [x.terms for x in classes]
+    bias, guard = space.bias, space.guard
+    unit = (0,) * len(xs)
+    uses, placed, children = {}, {unit}, {}
+    for k, p in enumerate(polys):
+        for exps, c in p.items():
+            uses.setdefault(exps, []).append((k, c))
+            while exps not in placed:
+                placed.add(exps)
+                j = 0
+                while not exps[j]:
+                    j += 1
+                up = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+                children.setdefault(up, []).append((exps, j))
+                exps = up
+    out = [{} for _ in polys]
+    stack = [(unit, None, CohClass.unit(space).terms)]
+    while stack:
+        exps, j, value = stack.pop()
+        if j is not None:  # value is the parent's monomial until here
+            value = kernels.mul_terms_capped(value, xs[j], bias, guard)
+        for k, c in uses.get(exps, ()):
+            kernels.add_scaled(out[k], value, c)
+        for child, i in children.get(exps, ()):
+            stack.append((child, i, value))
+    return [CohClass._raw(space, terms) for terms in out]

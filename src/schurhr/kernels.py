@@ -196,7 +196,7 @@ class TermElement:
 
     @classmethod
     def zero(cls, ring):
-        return cls._raw(ring, {})
+        return cls._raw(cls._shape(ring)[0], {})
 
     @classmethod
     def constant(cls, c, ring):

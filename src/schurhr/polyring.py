@@ -28,9 +28,7 @@ class MultiPoly(kernels.TermElement):
 
     @staticmethod
     def _shape(nvars):
-        nvars = int(nvars)
-        if nvars < 0:
-            raise ValueError("variable count must be nonnegative")
+        nvars = variable_count(nvars)
         return nvars, nvars, None
 
     def _mul(self, a, b):
@@ -255,6 +253,14 @@ def evaluate_many(polys, point):
 def _exps_factorial(exps):
     """x_1! * ... * x_n! for an exponent vector."""
     return prod(map(factorial, exps))
+
+
+def variable_count(e):
+    """e as an int: the one check that a variable count is not negative."""
+    e = int(e)
+    if e < 0:
+        raise ValueError("variable count must be nonnegative")
+    return e
 
 
 def elementary(i, e):

@@ -20,7 +20,7 @@ from math import comb
 from . import kernels
 from .errors import PreconditionError
 from .partitions import Partition, dual_in_box, ssyt_weight_counts
-from .polyring import MultiPoly, elementary
+from .polyring import MultiPoly, elementary, variable_count
 from .rationals import fmt_terms
 
 _cache_lock = threading.Lock()
@@ -129,7 +129,7 @@ def derived_chern(lam, e):
     Substituting e_k = elementary(k, e) gives ``derived_all(lam, e)``.
     """
     lam = Partition(lam)
-    e = int(e)
+    e = variable_count(e)
     key = (lam.normalized, e)
     with _cache_lock:
         hit = _derived_chern_cache.get(key)
@@ -255,33 +255,9 @@ def elementary_row_check(p, e):
     return ok
 
 
-def to_elementary_basis(p):
-    """Express a symmetric polynomial in elementary symmetric polynomials.
-
-    Returns a dict mapping exponent tuples over (c_1, ..., c_e) to rational
-    coefficients.  Classical leading-term elimination in lex order.
-    """
-    if not p.is_symmetric():
-        raise ValueError("polynomial is not symmetric")
-    e = p.nvars
-    elems = [elementary(i, e) for i in range(e + 1)]
-    out = {}
-    rest = p
-    while not rest.is_zero:
-        lead = max(rest.terms)  # lex order; symmetric => weakly decreasing
-        c = rest.terms[lead]
-        padded = lead + (0,)
-        key = tuple(padded[i] - padded[i + 1] for i in range(e))
-        prod = MultiPoly.one(e)
-        for i, k in enumerate(key):
-            prod = prod * elems[i + 1] ** k
-        out[key] = c
-        rest = rest - c * prod
-    return out
-
-
 def format_elementary(basis_terms):
-    """Human-readable rendering of a to_elementary_basis result."""
+    """Human-readable rendering of a term dict in c_1, ..., c_e, such as a
+    slice of ``derived_chern``."""
     def weighted(kv):
         return (sum((i + 1) * x for i, x in enumerate(kv[0])), kv[0])
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from schurhr import bundles, cohomology, kernels
+from schurhr import bundles, cohomology, kernels, schur
 from schurhr.bundles import (SplitBundle, char_class, chern, chern_all,
                              chern_twist_rule, chern_twist_rule_all, class_is_nef,
                              derived_schur_class, derived_schur_classes,
@@ -110,9 +110,10 @@ def test_char_class_reaches_no_determinant_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("char_class left the root evaluation")
 
-    for name in ("chern_all", "class_det", "schur_class"):
+    for name in ("chern_all", "derived_chern", "evaluate_terms", "schur_class"):
         monkeypatch.setattr(bundles, name, forbidden)
-    monkeypatch.setattr(cohomology, "class_det", forbidden)
+    monkeypatch.setattr(cohomology, "evaluate_terms", forbidden)
+    monkeypatch.setattr(schur, "derived_chern", forbidden)
     assert char_class(schur_jt(lam, E.rank), E) == want
 
 
@@ -152,9 +153,8 @@ def test_expansion_identity_in_the_twist():
 
 
 def test_schur_class_agrees_with_monomial_evaluation():
-    # two genuinely independent routes: the determinant in the ring of
-    # Chern classes versus term-by-term evaluation of the polynomial at
-    # the roots
+    # two genuinely independent routes: the e-basis slice 0 at the Chern
+    # classes versus term-by-term evaluation of the polynomial at the roots
     rng = random.Random(19)
     for _ in range(15):
         X = Space([rng.randint(1, 3), rng.randint(1, 2)])
@@ -230,13 +230,14 @@ def _oracle_instances(draw):
 def _lifted_space_slices(lam, E, imax):
     """The slices up to imax by the lifted-space route: s_lam of E twisted
     by the hyperplane class t of an extra factor P^m, in the product ring,
-    expanded in the powers of t."""
+    expanded in the powers of t.  s_lam is evaluated at the Chern roots
+    (``char_class``), never through the e-basis slices under test."""
     X = E.space
     m = max(sum(lam), 1)
     aug = Space(X.factors + (m,))
     lifted = SplitBundle(aug, [line + (0,) for line in E.lines], E.twist + (1,))
     slices = [{} for _ in range(min(imax, sum(lam)) + 1)]
-    for exps, c in schur_class(lam, lifted).exps_terms().items():
+    for exps, c in char_class(schur_jt(lam, E.rank), lifted).exps_terms().items():
         if exps[-1] <= imax:
             slices[exps[-1]][exps[:-1]] = c
     return slices
@@ -268,23 +269,6 @@ def test_single_slice_is_that_slice_of_all(inst):
     for i in range(-2, w + 3):
         want = every[i] if 0 <= i <= w else CohClass.zero(E.space)
         assert derived_schur_class(lam, i, E) == want
-
-
-def test_derived_classes_take_no_determinant(monkeypatch):
-    # with imax >= 1 no determinant over the Chern classes is taken, so
-    # slice 0 is a route separate from schur_class's
-    X = Space([2, 1, 2])
-    E = SplitBundle(X, [(1, 0, 2), (0, 1, 1), (2, 1, 0)],
-                    (Fraction(1, 2), Fraction(-2, 3), 0))
-    lam = (2, 1, 1)
-    want = [schur_class(lam, E)] + [derived_schur_class(lam, i, E) for i in range(1, 5)]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a determinant over the Chern classes was taken")
-
-    monkeypatch.setattr(bundles, "class_det", forbidden)
-    monkeypatch.setattr(bundles, "schur_class", forbidden)
-    assert derived_schur_classes(lam, E) == want
 
 
 def test_schur_class_multiplies_integers_only(monkeypatch):

@@ -3,11 +3,14 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from schurhr import acceptance, cli, quadforms
 from schurhr.errors import DegreeMismatchError
+from schurhr.partitions import partitions_up_to
+from schurhr.polyring import MultiPoly, elementary
 
 CLI = [sys.executable, "-m", "schurhr"]
 
@@ -43,6 +46,43 @@ def test_schur_elementary_basis():
     r = run("schur", "--lambda", "1,1,1", "--vars", "3", "--basis", "c")
     assert r.returncode == 0
     assert r.stdout.strip() == "c1^3 - 2*c1*c2 + c3"
+
+
+def _from_elementary_rendering(text, e):
+    """The polynomial in e variables that an e-basis rendering such as
+    "c1^3 - 2*c1*c2 + c3" stands for, with c_k = elementary(k, e)."""
+    tokens = text.split(" ")
+    if tokens[0].startswith("-"):
+        tokens[0:1] = ["-", tokens[0][1:]]
+    else:
+        tokens.insert(0, "+")
+    total = MultiPoly.zero(e)
+    for sign, body in zip(tokens[::2], tokens[1::2]):
+        term = MultiPoly.constant(-1 if sign == "-" else 1, e)
+        for factor in body.split("*"):
+            if factor.startswith("c"):
+                k, _, power = factor[1:].partition("^")
+                term = term * elementary(int(k), e) ** int(power or 1)
+            else:
+                term = term.scale(Fraction(factor))
+        total = total + term
+    return total
+
+
+@pytest.mark.parametrize("e", range(5))
+def test_schur_elementary_basis_is_the_polynomial(e, capsys):
+    # every shape of weight <= 6, every slice and one on each side of the
+    # range: c_k -> elementary(k, e) in the rendering gives the "poly" field
+    for lam in partitions_up_to(6):
+        spec = ",".join(map(str, lam.normalized)) or "0"
+        for derived in [None, *range(-1, lam.weight + 2)]:
+            argv = ["schur", "--lambda", spec, "--vars", str(e), "--basis", "c", "--json"]
+            if derived is not None:
+                argv += ["--derived", str(derived)]
+            assert cli.main(argv) == 0
+            payload = json.loads(capsys.readouterr().out)
+            want = MultiPoly.from_json(payload["poly"], e)
+            assert _from_elementary_rendering(payload["rendered"], e) == want, argv
 
 
 def test_form_reproduces_the_counterexample_matrix(config):
@@ -322,6 +362,12 @@ def test_malformed_poly_file_is_a_usage_error(tmp_path, command, content):
      "zero denominator in '1/0'"),
     (["bridge", "--mode", "intersection", "--vars", "2", "--n", "2", "--alpha", "0,0"],
      "missing --lambda"),
+    (["schur", "--lambda", "1,1", "--vars", "-1"], "variable count must be nonnegative"),
+    (["schur", "--lambda", "0", "--vars", "-2"], "variable count must be nonnegative"),
+    (["schur", "--lambda", "2,1", "--vars", "-1", "--basis", "c"],
+     "variable count must be nonnegative"),
+    (["schur", "--lambda", "2,1", "--vars", "-1", "--derived", "9"],
+     "variable count must be nonnegative"),
 ])
 def test_bad_input_prints_one_error_line(argv, message):
     r = run(*argv)

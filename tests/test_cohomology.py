@@ -9,8 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurhr import kernels
 from schurhr.bundles import SplitBundle
-from schurhr.cohomology import CohClass, Space, class_det
+from schurhr.cohomology import CohClass, Space, evaluate_terms
 from schurhr.errors import SpaceMismatchError
 from schurhr.polyring import MultiPoly
 
@@ -104,25 +105,28 @@ def test_poincare_pairing_is_a_permutation_matrix():
                 assert sorted(col) == [0] * (len(rows) - 1) + [1]
 
 
-def test_class_det_matches_expansion_by_hand():
+def _class_det(rows):
+    """The determinant of a square matrix of classes of one space, by
+    ``kernels.det_terms`` over the ring's capped multiply."""
+    space = rows[0][0].space
+
+    def mul(a, b):
+        return kernels.mul_terms_capped(a, b, space.bias, space.guard)
+
+    return CohClass._raw(space, kernels.det_terms([[x.terms for x in r] for r in rows], mul))
+
+
+def test_det_terms_over_classes_matches_expansion_by_hand():
     X = Space([2, 2])
     a, b = X.h11_basis()
-    rows = [[a, b], [b, a]]
-    assert class_det(rows) == a * a - b * b
-    rows = [[a, CohClass.zero(X)], [b, b]]
-    assert class_det(rows) == a * b
-    with pytest.raises(ValueError):
-        class_det([])
-    with pytest.raises(ValueError):
-        class_det([[a, b], [a]])
+    assert _class_det([[a, b], [b, a]]) == a * a - b * b
+    assert _class_det([[a, CohClass.zero(X)], [b, b]]) == a * b
+    with pytest.raises(ValueError, match="empty"):
+        kernels.det_terms([], kernels.mul_terms)
     with pytest.raises(ValueError, match="not square"):
-        class_det([[]])
-    # entries on different spaces are an error, not a truncation to the first
-    p1, p3 = Space([1]).h11_basis()[0], Space([3]).h11_basis()[0]
-    with pytest.raises(SpaceMismatchError):
-        class_det([[p1, p3], [p3, p1]])
-    with pytest.raises(SpaceMismatchError):
-        class_det([[a, b], [b, p1]])
+        kernels.det_terms([[a.terms, b.terms], [a.terms]], kernels.mul_terms)
+    with pytest.raises(ValueError, match="not square"):
+        kernels.det_terms([[]], kernels.mul_terms)
 
 
 # P^2 x P^1: a small ring with zero divisors (tau_1^3 = tau_2^2 = 0)
@@ -141,12 +145,40 @@ def _square_pair(n):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3).flatmap(_square_pair))
-def test_class_det_is_multiplicative(pair):
+def test_det_terms_over_classes_is_multiplicative(pair):
     a, b = pair
     n = len(a)
     ab = [[sum((a[i][k] * b[k][j] for k in range(n)), CohClass.zero(_X21))
            for j in range(n)] for i in range(n)]
-    assert class_det(ab) == class_det(a) * class_det(b)
+    assert _class_det(ab) == _class_det(a) * _class_det(b)
+
+
+def _term_dicts(r):
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=4))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * r), coeffs, max_size=5)
+    return st.tuples(st.lists(terms, max_size=3),
+                     st.lists(_classes, min_size=r, max_size=r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(_term_dicts))
+def test_evaluate_terms_matches_horner_substitution(inst):
+    # each monomial formed once for every polynomial, against the Horner
+    # scheme of MultiPoly.substitute, one polynomial at a time
+    polys, classes = inst
+    want = [MultiPoly(len(classes), p).substitute(classes) for p in polys]
+    assert evaluate_terms(polys, classes) == want
+
+
+def test_evaluate_terms_needs_classes_of_one_space():
+    a = Space([2]).h11_basis()[0]
+    with pytest.raises(ValueError):
+        evaluate_terms([{(): 1}], [])
+    with pytest.raises(SpaceMismatchError):
+        evaluate_terms([{(1, 1): 1}], [a, Space([3]).h11_basis()[0]])
+    assert evaluate_terms([], [a]) == []
+    want = [5 * CohClass.unit(a.space), a * a]
+    assert evaluate_terms([{(0,): 5}, {(2,): 1, (3,): 7}], [a]) == want
 
 
 def test_serialization_round_trip():

@@ -13,8 +13,7 @@ from schurhr.polyring import MultiPoly, elementary
 from schurhr.schur import (_e_taylor_step, _taylor_step, derived_all,
                            derived_chern, derived_schur, derived_table_check,
                            dual_reversal_check, elementary_row_check,
-                           format_elementary, schur_jt, schur_ssyt,
-                           to_elementary_basis)
+                           format_elementary, schur_jt, schur_ssyt)
 
 
 def test_jt_examples():
@@ -187,7 +186,7 @@ def test_dual_reversal_random_boxes():
 
 def test_elementary_basis_round_trip():
     p = schur_jt((1, 1, 1), 3)
-    basis = to_elementary_basis(p)
+    basis = derived_chern((1, 1, 1), 3)[0]
     rebuilt = MultiPoly.zero(3)
     for key, c in basis.items():
         term = MultiPoly.one(3)
@@ -197,6 +196,20 @@ def test_elementary_basis_round_trip():
         rebuilt = rebuilt + c * term
     assert rebuilt == p
     assert format_elementary(basis) == "c1^3 - 2*c1*c2 + c3"
+
+
+@pytest.mark.parametrize("route", [
+    lambda e: schur_jt((1, 1), e),
+    lambda e: schur_jt((), e),
+    lambda e: schur_ssyt((1, 1), e),
+    lambda e: derived_chern((1, 1), e),
+    lambda e: derived_chern((), e),
+    lambda e: derived_schur((2,), 5, e),
+    lambda e: elementary(1, e),
+])
+def test_negative_variable_counts_are_rejected(route):
+    with pytest.raises(ValueError, match="variable count must be nonnegative"):
+        route(-1)
 
 
 def test_cache_is_thread_safe():
