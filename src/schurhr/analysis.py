@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .bundles import (SplitBundle, chern_all, class_is_nef,
+from .bundles import (SplitBundle, _integral_roots, chern_all, class_is_nef,
                       derived_schur_class, derived_schur_classes, schur_class)
 from .cohomology import CohClass, Space
 from .errors import DegreeMismatchError, PreconditionError
@@ -140,16 +140,25 @@ def fl_positivity(E, lam, i):
     """Integral of the i-th shift slice of the Schur class of a nef bundle.
 
     Requires |lam| = dim + i; the value is guaranteed nonnegative for nef
-    input, but the caller does the asserting.
+    input, but the caller does the asserting.  The slice is that of E_b
+    (``bundles._integral_roots``), integrated over the ints; the integral
+    is divided once by b^dim.
     """
     lam = Partition(lam)
     i = int(i)
-    _check_weight(lam, _nef_space(E).dim + i, "dim + i")
-    return derived_schur_class(lam, i, E).integrate()
+    space = _nef_space(E)
+    _check_weight(lam, space.dim + i, "dim + i")
+    b, Eb = _integral_roots(E)
+    return _divided(derived_schur_class(lam, i, Eb).integrate(), b ** space.dim)
 
 
 def monomial_positivity(bundles, lams, orders):
-    """Integral of a product of derived Schur classes of nef bundles."""
+    """Integral of a product of derived Schur classes of nef bundles.
+
+    The factors are the slices of the bundles E_b (``bundles._integral_roots``),
+    multiplied over the ints; the integral is divided once by the product
+    of the b^(|lam| - i).
+    """
     if not bundles:
         raise ValueError("need at least one bundle")
     space = _nef_space(*bundles)
@@ -162,12 +171,19 @@ def monomial_positivity(bundles, lams, orders):
         raise DegreeMismatchError(
             f"total degree {total_deg} does not match dim {space.dim}"
         )
-    prod = CohClass.unit(space)
+    prod, den = CohClass.unit(space), 1
     for E, lam, i in zip(bundles, lams, orders):
-        prod = prod * derived_schur_class(lam, i, E)
-        if prod.is_zero:
+        b, Eb = _integral_roots(E)
+        prod = prod * derived_schur_class(lam, i, Eb)
+        if prod.is_zero:  # also where i is outside 0..|lam|
             break
-    return prod.integrate()
+        den *= b ** (lam.weight - i)
+    return _divided(prod.integrate(), den)
+
+
+def _divided(v, den):
+    """The int v divided by the positive int den, in canonical form."""
+    return v if den == 1 else canon(Fraction(v, den))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +240,12 @@ def schur_hodge_improved_check(E, h, lam, alpha):
 
 
 def kt_sequence(E, F, lam, mu):
-    """i -> int s_lam^(|lam|+|mu|-dim-i)(E) * s_mu^(i)(F) over its support."""
+    """i -> int s_lam^(|lam|+|mu|-dim-i)(E) * s_mu^(i)(F) over its support.
+
+    The slices are those of E_b and F_b (``bundles._integral_roots``),
+    paired over the ints; each value is divided once by
+    b^(|lam| - j) * c^(|mu| - i), b and c the twist denominators of E and F.
+    """
     lam, mu = Partition(lam), Partition(mu)
     d = _nef_space(E, F).dim
     if lam.weight + mu.weight < d:
@@ -234,12 +255,15 @@ def kt_sequence(E, F, lam, mu):
     top = lam.weight + mu.weight - d
     lo = max(0, mu.weight - d)
     hi = min(mu.weight, top)
-    sE = derived_schur_classes(lam, E, top - lo)  # only the slices read below
-    sF = derived_schur_classes(mu, F, hi)
+    b, Eb = _integral_roots(E)
+    c, Fb = _integral_roots(F)
+    sE = derived_schur_classes(lam, Eb, top - lo)  # only the slices read below
+    sF = derived_schur_classes(mu, Fb, hi)
     values = []
     for i in range(lo, hi + 1):
         j = top - i
-        values.append(sE[j].pairing(sF[i]))
+        den = b ** (lam.weight - j) * c ** (mu.weight - i)
+        values.append(_divided(sE[j].pairing(sF[i]), den))
     return Sequence(tuple(values), provenance="kt", start=lo)
 
 

@@ -17,6 +17,7 @@ evaluated at the Chern roots, is the independent route.
 from fractions import Fraction
 from math import comb
 
+from . import kernels
 from .cohomology import CohClass, Space, evaluate_terms
 from .errors import SpaceMismatchError
 from .partitions import Partition
@@ -119,16 +120,23 @@ def class_is_nef(h):
 
 
 def chern_all(E):
-    """Total Chern class as the list [c_0(E), ..., c_rank(E)]."""
+    """Total Chern class as the list [c_0(E), ..., c_rank(E)].
+
+    The roots are those of E_b (``_integral_roots``), so every product is
+    over ints; c_p is homogeneous of degree p in the roots, so c_p(E) is
+    c_p(E_b) divided once by b^p (``_divide``).  The classes are built as
+    packed term dicts, c_p += c_(p-1) * root from the top degree down.
+    """
+    b, Eb = _integral_roots(E)
     space = E.space
-    cs = [CohClass.unit(space)]
-    for root in E.chern_roots():
-        nxt = [cs[0]]
-        for p in range(1, len(cs)):
-            nxt.append(cs[p] + cs[p - 1] * root)
-        nxt.append(cs[-1] * root)
-        cs = nxt
-    return cs
+    shifts, bias, guard = space.shifts, space.bias, space.guard
+    cs = [{0: 1}]
+    for v in Eb.root_vectors():
+        root = {1 << s: c for s, c in zip(shifts, v) if c}
+        cs.append(kernels.mul_terms_capped(cs[-1], root, bias, guard))
+        for p in range(len(cs) - 2, 0, -1):
+            kernels.add_scaled(cs[p], kernels.mul_terms_capped(cs[p - 1], root, bias, guard))
+    return [CohClass._raw(space, _divide(c, b ** p)) for p, c in enumerate(cs)]
 
 
 def chern(E, p):
@@ -222,7 +230,9 @@ def _slices_at(lam, E, indices):
     |lam| - i above dim is zero.  The others are ``schur.derived_chern``
     evaluated at the Chern classes of E_b (``_integral_roots``), so every
     product is over ints; s_lam^(i) is homogeneous of degree |lam| - i in
-    the roots, so slice i is divided once by b^(|lam| - i).
+    the roots, so slice i is divided once by b^(|lam| - i) (``_divide``).
+    Callers that only integrate or pair slices ask for those of E_b and
+    divide each number instead.
     """
     space = E.space
     if lam.first > E.rank:
@@ -232,8 +242,20 @@ def _slices_at(lam, E, indices):
     b, Eb = _integral_roots(E)
     polys = [formal[i] if w - i <= space.dim else {} for i in indices]
     classes = evaluate_terms(polys, chern_all(Eb)[1:])
-    return [cls.scale(Fraction(1, b ** (w - i))) if b > 1 else cls
+    return [CohClass._raw(space, _divide(cls.terms, b ** (w - i)))
             for i, cls in zip(indices, classes)]
+
+
+def _divide(terms, den):
+    """The terms divided by the positive int den, each coefficient by one
+    exact divmod; a Fraction only where the division is inexact."""
+    if den == 1:
+        return terms
+    out = {}
+    for key, c in terms.items():
+        q, r = divmod(c, den)
+        out[key] = Fraction(c, den) if r else q
+    return out
 
 
 def derived_schur_class(lam, i, E):

@@ -42,7 +42,8 @@ def intersection_form(omega, space=None):
     """Matrix of (a, b) -> integral of a * omega * b over the hyperplane basis.
 
     omega must be homogeneous of degree dim - 2; anything else is rejected
-    (silent projection would hide bugs upstream).
+    (silent projection would hide bugs upstream).  Each of the k(k+1)/2
+    entries is one lookup of a packed key of omega, with no product.
     """
     if space is None:
         space = omega.space
@@ -53,8 +54,17 @@ def intersection_form(omega, space=None):
         raise DegreeMismatchError(f"class has mixed degrees {degs}, expected {space.dim - 2}")
     if degs and degs[0] != space.dim - 2:
         raise DegreeMismatchError(f"class has degree {degs[0]}, expected {space.dim - 2}")
-    # integral of tau_i * omega * tau_j: omega's coefficient at top - e_i - e_j
-    return omega.coefficient_matrix(space.factors)
+    # integral of tau_i * omega * tau_j: omega's coefficient at top - e_i - e_j,
+    # read off the packed key (no field borrows unless i = j and n_i < 2,
+    # where the monomial does not exist)
+    top, shifts, get = space.top, space.shifts, omega.terms.get
+    k = space.k
+    mat = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            if i != j or space.factors[i] > 1:
+                mat[i][j] = mat[j][i] = get(top - (1 << shifts[i]) - (1 << shifts[j]), 0)
+    return tuple(tuple(row) for row in mat)
 
 
 def inertia(m):

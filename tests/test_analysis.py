@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from schurhr.analysis import (Sequence, chern_power_sequence,
                               derived_value_sequence, fl_positivity,
@@ -12,10 +13,13 @@ from schurhr.analysis import (Sequence, chern_power_sequence,
                               log_concavity_violations, monomial_positivity,
                               pair_value_sequence, schur_hodge_improved_check,
                               twisted_schur_form)
-from schurhr.bundles import SplitBundle, schur_class
+from schurhr.bundles import (SplitBundle, derived_schur_class,
+                             derived_schur_classes, schur_class)
 from schurhr.cohomology import CohClass, Space
 from schurhr.errors import DegreeMismatchError, PreconditionError
+from schurhr.partitions import partitions_of
 from schurhr.quadforms import inertia, intersection_form
+from schurhr.rationals import canon
 
 
 def _p2_bundle():
@@ -116,28 +120,143 @@ def test_kt_sequence_example():
 
 
 def test_kt_sequence_forms_no_capped_product(monkeypatch):
-    # with the slices given, each value is a pairing, not a product
+    # with the slices given, each value is a pairing, not a product; the
+    # slices served are those of the integral bundles E_b and F_b, and the
+    # values must still be those of the rational classes
     from schurhr import analysis, bundles, kernels
     X, E = _p2p3_bundle()
     F = SplitBundle(X, [(0, 1), (1, 1)], (Fraction(1, 2), 0))
     lam, mu = (2, 1), (1, 1, 1)
-    slices = {lam: bundles.derived_schur_classes(lam, E),
-              mu: bundles.derived_schur_classes(mu, F)}
-    sE, sF = slices[lam], slices[mu]
+    sE = bundles.derived_schur_classes(lam, E)
+    sF = bundles.derived_schur_classes(mu, F)
     top = 6 - X.dim  # |lam| + |mu| - dim
     want = tuple((sE[top - i] * sF[i]).integrate() for i in range(top + 1))
+    served = []
+    for shape, bundle in [(lam, E), (mu, F)]:
+        Bb = bundles._integral_roots(bundle)[1]
+        served.append((shape, Bb, bundles.derived_schur_classes(shape, Bb)))
     products, real = [], kernels.mul_terms_capped
 
     def spy(*args):
         products.append(args)
         return real(*args)
 
-    monkeypatch.setattr(analysis, "derived_schur_classes",
-                        lambda lam_, bundle, imax=None: slices[tuple(lam_.parts)])
+    def stub(lam_, bundle, imax=None):
+        [slices] = [s for shape, Bb, s in served
+                    if shape == tuple(lam_.parts) and Bb == bundle]
+        return slices
+
+    monkeypatch.setattr(analysis, "derived_schur_classes", stub)
     monkeypatch.setattr(kernels, "mul_terms_capped", spy)
     seq = kt_sequence(E, F, lam, mu)
     assert products == []
     assert seq.values == want and seq.start == 0
+
+
+# The integer route: kt_sequence, fl_positivity and monomial_positivity work
+# on the slices of the integral bundles E_b and divide each number once.  The
+# oracles below are the rational slices of E itself.
+
+@st.composite
+def _nef_bundle(draw, X):
+    """A nef split bundle of rank 1-3 on X, its twist of denominator 1-6."""
+    rank = draw(st.integers(1, 3))
+    lines = draw(st.lists(st.tuples(*[st.integers(0, 2)] * X.k),
+                          min_size=rank, max_size=rank))
+    den = draw(st.integers(1, 6))
+    twist = draw(st.tuples(*[st.integers(0, 2 * den)] * X.k))
+    return SplitBundle(X, lines, [Fraction(t, den) for t in twist])
+
+
+_spaces = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(Space)
+
+
+def _shape(draw, weight, rank):
+    return draw(st.sampled_from(list(partitions_of(weight, max_part=rank))))
+
+
+@st.composite
+def _kt_instances(draw):
+    """E, F, lam, mu with |lam| + |mu| >= dim; the weights reach the edges
+    hi = 0 (|mu| = 0 or |lam| + |mu| = dim) and top - lo = 0."""
+    X = draw(_spaces)
+    E, F = draw(_nef_bundle(X)), draw(_nef_bundle(X))
+    wl = draw(st.integers(0, X.dim + 1))
+    wm = draw(st.integers(max(0, X.dim - wl), max(0, X.dim - wl) + 2))
+    return E, F, _shape(draw, wl, E.rank), _shape(draw, wm, F.rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kt_instances())
+@example((SplitBundle(Space([1, 2]), [(1, 0), (0, 1)], (Fraction(1, 6), Fraction(1, 4))),
+          SplitBundle(Space([1, 2]), [(2, 1)], (Fraction(5, 3), 0)), (1, 1), (1,)))
+@example((SplitBundle(Space([2]), [(1,), (0,)], (Fraction(1, 5),)),
+          SplitBundle(Space([2]), [(1,)], (Fraction(1, 2),)), (), (2, 1)))
+def test_kt_sequence_equals_the_pairings_of_rational_slices(inst):
+    E, F, lam, mu = inst
+    seq = kt_sequence(E, F, lam, mu)
+    top = sum(lam) + sum(mu) - E.space.dim
+    sE, sF = derived_schur_classes(lam, E), derived_schur_classes(mu, F)
+    want = tuple(sE[top - i].pairing(sF[i])
+                 for i in range(seq.start, min(sum(mu), top) + 1))
+    assert seq.values == want
+    assert all(type(v) is int or v.denominator > 1 for v in seq.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fl_positivity_is_the_integral_of_the_rational_slice(data):
+    X = data.draw(_spaces)
+    E = data.draw(_nef_bundle(X))
+    i = data.draw(st.integers(0, 2))
+    lam = _shape(data.draw, X.dim + i, E.rank)
+    got, want = fl_positivity(E, lam, i), derived_schur_class(lam, i, E).integrate()
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_monomial_positivity_is_the_integral_of_the_rational_product(data):
+    X = data.draw(_spaces)
+    n = data.draw(st.integers(1, 3))
+    cuts = sorted(data.draw(st.lists(st.integers(0, X.dim), min_size=n - 1,
+                                     max_size=n - 1)))
+    degrees = [b - a for a, b in zip([0, *cuts], [*cuts, X.dim])]
+    bundles, lams, orders = [], [], []
+    for d in degrees:
+        E = data.draw(_nef_bundle(X))
+        i = data.draw(st.integers(0, 2))
+        bundles.append(E)
+        lams.append(_shape(data.draw, d + i, E.rank))
+        orders.append(i)
+    want = CohClass.unit(X)
+    for E, lam, i in zip(bundles, lams, orders):
+        want = want * derived_schur_class(lam, i, E)
+    # the product of the rational classes may hold Fraction(n, 1) (the
+    # capped multiply does not canonicalize); the value must be canonical
+    got, want = monomial_positivity(bundles, lams, orders), canon(want.integrate())
+    assert got == want and type(got) is type(want)
+
+
+def test_kt_sequence_pairs_integers_only(monkeypatch):
+    # twists of denominator 6: every pairing inside kt_sequence is over ints
+    X = Space([2, 2])
+    E = SplitBundle(X, [(1, 0), (0, 1)], (Fraction(1, 2), Fraction(1, 3)))
+    F = SplitBundle(X, [(1, 1), (0, 2)], (Fraction(5, 6), 0))
+    lam, mu = (2, 1), (2, 1, 1)
+    sE, sF = derived_schur_classes(lam, E), derived_schur_classes(mu, F)
+    want = tuple(sE[3 - i].pairing(sF[i]) for i in range(4))
+    seen, real = [], CohClass.pairing
+
+    def spy(self, other):
+        seen.extend(c for cls in (self, other) for c in cls.terms.values())
+        return real(self, other)
+
+    monkeypatch.setattr(CohClass, "pairing", spy)
+    seq = kt_sequence(E, F, lam, mu)
+    monkeypatch.undo()
+    assert seq.values == want and any(type(v) is not int for v in want)
+    assert seen and all(type(c) is int for c in seen)
 
 
 def test_kt_sequence_range_and_preconditions():

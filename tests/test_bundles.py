@@ -212,6 +212,21 @@ def test_derived_classes_satisfy_twist_rule(inst):
     assert rhs == char_class(schur_jt(lam, E.rank), E.twisted_by(delta))
 
 
+@settings(max_examples=60, deadline=None)
+@given(_twisted_instances())
+@example((SplitBundle(Space([2, 2]), [(0, 0), (1, 0)], (Fraction(1, 2), Fraction(1, 2))),
+          (1,), (0, 0)))
+def test_chern_all_is_the_twist_rule_term_by_term(inst):
+    # the same terms, and the same coefficient types: int where the
+    # denominator is 1 (``rationals.canon``), Fraction elsewhere
+    E, _, _ = inst
+    got = [c.terms for c in chern_all(E)]
+    want = [c.terms for c in chern_twist_rule_all(E)]
+    assert got == want
+    assert ([{k: type(v) for k, v in t.items()} for t in got]
+            == [{k: type(v) for k, v in t.items()} for t in want])
+
+
 @st.composite
 def _oracle_instances(draw):
     """A bundle of rank 1-4 with a rational twist that may be negative (so

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import re
 import shlex
 import subprocess
@@ -21,7 +22,7 @@ def test_every_command_line_example_exits_0(tmp_path):
     (tmp_path / "cfg.json").write_text(_block("json", "A run configuration file"))
     lines = [ln for ln in _block("bash", "## Command line").splitlines()
              if ln.startswith("schurhr ")]
-    assert len(lines) == 13
+    assert len(lines) == 14
     stated = {}
     for line in lines:
         command, _, comment = line.partition("#")
@@ -29,10 +30,13 @@ def test_every_command_line_example_exits_0(tmp_path):
         r = subprocess.run([sys.executable, "-m", "schurhr", *argv], cwd=tmp_path,
                            capture_output=True, text=True, timeout=600)
         assert r.returncode == 0, (line, r.stderr[-500:])
+        # the comment states what the command prints
         if argv[0] == "schur":
-            # the comment states what the command prints
             stated[comment.strip()] = r.stdout.strip()
-    assert stated == {s: s for s in ("x1^2 + x1*x2 + x2^2", "c1^3 - 2*c1*c2 + c3")}
+        elif argv[0] == "kt" and comment:
+            stated[comment.strip()] = ", ".join(json.loads(r.stdout)["sequence"]["values"])
+    assert stated == {s: s for s in ("x1^2 + x1*x2 + x2^2", "c1^3 - 2*c1*c2 + c3",
+                                     "16, 72, 81/4")}
 
 
 def test_library_quick_start_prints_what_its_comments_state():
