@@ -137,19 +137,15 @@ def _check_alpha(alpha, e, total):
 
 
 def fl_positivity(E, lam, i):
-    """Integral of the i-th shift slice of the Schur class of a nef bundle.
+    """Integral of the i-th shift slice of the Schur class of a nef bundle:
+    the one-factor ``monomial_positivity``.
 
     Requires |lam| = dim + i; the value is guaranteed nonnegative for nef
-    input, but the caller does the asserting.  The slice is that of E_b
-    (``bundles._integral_roots``), integrated over the ints; the integral
-    is divided once by b^dim.
+    input, but the caller does the asserting.
     """
     lam = Partition(lam)
-    i = int(i)
-    space = _nef_space(E)
-    _check_weight(lam, space.dim + i, "dim + i")
-    b, Eb = _integral_roots(E)
-    return _divided(derived_schur_class(lam, i, Eb).integrate(), b ** space.dim)
+    _check_weight(lam, _nef_space(E).dim + int(i), "dim + i")
+    return monomial_positivity([E], [lam], [i])
 
 
 def monomial_positivity(bundles, lams, orders):
@@ -195,9 +191,6 @@ class InequalityResult:
     lhs: object
     rhs: object
     ok: bool
-
-    def to_json(self):
-        return {"lhs": fmt_q(self.lhs), "rhs": fmt_q(self.rhs), "ok": self.ok}
 
 
 def hodge_index_check(omega, alpha, beta):

@@ -21,7 +21,7 @@ from . import kernels
 from .cohomology import CohClass, Space, evaluate_terms
 from .errors import SpaceMismatchError
 from .partitions import Partition
-from .rationals import common_denominator, fmt_q, parse_q
+from .rationals import common_denominator, parse_q
 from .schur import derived_chern
 
 
@@ -98,12 +98,6 @@ class SplitBundle:
 
     def __repr__(self):
         return f"SplitBundle({self.space!r}, lines={list(self.lines)}, twist={list(self.twist)})"
-
-    def to_json(self):
-        return {
-            "lines": [list(line) for line in self.lines],
-            "twist": [fmt_q(c) for c in self.twist],
-        }
 
     @classmethod
     def from_json(cls, data, space):

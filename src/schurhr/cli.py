@@ -415,9 +415,7 @@ def _cmd_verify(args, cfg):
     try:
         report = acceptance.run_all(seed=seed, workers=workers, criteria=criteria)
     except Exception as exc:  # inputs are validated above, so this is a bug
-        traceback.print_exc()
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        return CHECK_VIOLATION
+        return _internal_error(exc)
     _write(json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n", args)
     return 0 if report["ok"] else CHECK_VIOLATION
 
@@ -585,9 +583,18 @@ def main(argv=None):
             cfg = _load_config(args.config)
             _apply_output_defaults(args, cfg)
         return args.fn(args, cfg)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # OSError: a file the user named
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
+    except Exception as exc:
+        return _internal_error(exc)
+
+
+def _internal_error(exc):
+    """Report an exception that bad input does not explain: a bug, exit 2."""
+    traceback.print_exc()
+    sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+    return CHECK_VIOLATION
 
 
 if __name__ == "__main__":

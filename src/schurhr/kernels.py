@@ -292,7 +292,16 @@ class TermElement:
         if type(other) is not type(self):
             return NotImplemented
         self._check_ring(other)
-        return self._raw(self.ring, self._mul(self.terms, other.terms))
+        return self._raw(self.ring, self._canonical(self._mul(self.terms, other.terms)))
+
+    @staticmethod
+    def _canonical(terms):
+        """A product's terms, in place, with each Fraction(n, 1) turned into n:
+        the multiply kernels leave such values where Fractions cancel."""
+        if not all(type(c) is int for c in terms.values()):
+            for key, c in terms.items():
+                terms[key] = canon(c)
+        return terms
 
     def __rmul__(self, other):
         if isinstance(other, Rational):

@@ -79,10 +79,6 @@ class Partition:
     def to_json(self):
         return list(self.parts)
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data)
-
 
 def dual_in_box(lam, e, N):
     """Complement-and-reverse of lam inside an e x N box.

@@ -21,10 +21,6 @@ class InertiaTriple:
     n_zero: int
 
     @property
-    def dim(self):
-        return self.n_plus + self.n_minus + self.n_zero
-
-    @property
     def is_hr(self):
         """Nondegenerate with exactly one positive eigenvalue."""
         return self.n_zero == 0 and self.n_plus == 1

@@ -55,11 +55,6 @@ def _root_counts(p):
     return variations(lo) - variations(hi), len(p) - len(chain[-1])
 
 
-def count_distinct_real_roots(p):
-    """Number of distinct real roots."""
-    return _root_counts(p)[0]
-
-
 def has_only_real_roots(p):
     """True iff every complex root of p is real.
 

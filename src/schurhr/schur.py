@@ -12,8 +12,11 @@ They are computed from the operator D = sum_j d/dx_j: by Taylor's formula
 along (1, ..., 1), s_lam^(i) = D s_lam^(i-1) / i, an exact integer division.
 The same slices written in the elementary symmetric polynomials e_1, ..., e_e
 come from the same operator, which acts there by D e_k = (e - k + 1) e_(k-1).
+One step, ``_taylor_step``, applies D in either basis from its images on
+the generators.
 """
 
+import functools
 import threading
 from math import comb
 
@@ -38,27 +41,38 @@ def clear_caches():
         _derived_chern_keys.clear()
 
 
+def _cached(cache):
+    """Memoize f(lam, e) in cache under (lam.normalized, e), one entry per
+    miss; f gets lam as a Partition and e as a checked variable count.  The
+    lock is not held while f runs, since f may read another cache."""
+
+    def decorate(f):
+        @functools.wraps(f)
+        def cached(lam, e):
+            lam, e = Partition(lam), variable_count(e)
+            key = (lam.normalized, e)
+            with _cache_lock:
+                hit = cache.get(key)
+            if hit is None:
+                hit = f(lam, e)
+                with _cache_lock:
+                    cache[key] = hit
+            return hit
+
+        return cached
+
+    return decorate
+
+
+@_cached(_jt_cache)
 def schur_jt(lam, e):
     """Schur polynomial via the elementary-symmetric determinant."""
-    lam = Partition(lam)
-    e = int(e)
-    key = (lam.normalized, e)
-    with _cache_lock:
-        hit = _jt_cache.get(key)
-    if hit is not None:
-        return hit
     parts = lam.normalized
     n = len(parts)
     if n == 0:
-        result = MultiPoly.one(e)
-    else:
-        rows = [
-            [elementary(parts[r] - r + s, e).terms for s in range(n)] for r in range(n)
-        ]
-        result = MultiPoly._raw(e, kernels.det_terms(rows, kernels.mul_terms))
-    with _cache_lock:
-        _jt_cache[key] = result
-    return result
+        return MultiPoly.one(e)
+    rows = [[elementary(parts[r] - r + s, e).terms for s in range(n)] for r in range(n)]
+    return MultiPoly._raw(e, kernels.det_terms(rows, kernels.mul_terms))
 
 
 def schur_ssyt(lam, e):
@@ -69,48 +83,42 @@ def schur_ssyt(lam, e):
     return MultiPoly(e, counts)
 
 
+@_cached(_derived_cache)
 def derived_all(lam, e):
     """All shift-expansion coefficients (s_lam^(0), ..., s_lam^(|lam|)).
 
     Taylor's formula along (1, ..., 1) gives s_lam^(i) = D^i s_lam / i! with
-    D = sum_j d/dx_j, so each slice is D of the one before divided by i.
-    The coefficients stay integers: s_lam(x + t) has integer coefficients.
+    D = sum_j d/dx_j, the derivation with D x_j = 1, so each slice is D of
+    the one before divided by i.  The coefficients stay integers:
+    s_lam(x + t) has integer coefficients.
     """
-    lam = Partition(lam)
-    e = int(e)
-    key = (lam.normalized, e)
-    with _cache_lock:
-        hit = _derived_cache.get(key)
-    if hit is not None:
-        return hit
+    images = [(1, None)] * e
     slices = [schur_jt(lam, e)]
     for i in range(1, lam.weight + 1):
-        slices.append(MultiPoly._raw(e, _taylor_step(slices[-1].terms, i)))
-    result = tuple(slices)
-    with _cache_lock:
-        _derived_cache[key] = result
-    return result
+        slices.append(MultiPoly._raw(e, _taylor_step(slices[-1].terms, i, images)))
+    return tuple(slices)
 
 
-def _taylor_step(terms, i):
-    """D(terms) / i for integer coefficients, D = sum_j d/dx_j.
+def _taylor_step(terms, i, images):
+    """D(terms) / i for integer coefficients, D the derivation given by its
+    images on the generators: images[j] = (d, k) sends generator j to d times
+    generator k, or to the constant d when k is None.
 
     Raises ArithmeticError if a coefficient of D(terms) is not a multiple of
     i: the shift expansion of an integer polynomial never does that.
     """
     out = {}
+    get = out.get
     for exps, c in terms.items():
-        for j, x in enumerate(exps):
-            if x:
-                key = exps[:j] + (x - 1,) + exps[j + 1:]
-                out[key] = out.get(key, 0) + c * x
-    return _exact_quotient(out, i)
-
-
-def _exact_quotient(terms, i):
-    """terms / i, or ArithmeticError naming the first inexact coefficient."""
+        for j, a in enumerate(exps):
+            if a:
+                d, k = images[j]
+                key = exps[:j] + (a - 1,) + exps[j + 1:]
+                if k is not None:
+                    key = key[:k] + (key[k] + 1,) + key[k + 1:]
+                out[key] = get(key, 0) + c * a * d
     result = {}
-    for key, v in terms.items():
+    for key, v in out.items():
         q, r = divmod(v, i)
         if r:
             raise ArithmeticError(f"Taylor step {i}: {v} at {key} is not a multiple of {i}")
@@ -119,22 +127,17 @@ def _exact_quotient(terms, i):
     return result
 
 
+@_cached(_derived_chern_cache)
 def derived_chern(lam, e):
     """The slices s_lam^(0), ..., s_lam^(|lam|) in e_1, ..., e_e.
 
     Each slice is a term dict keyed by the exponents (a_1, ..., a_e) of
     e_1^a_1 * ... * e_e^a_e.  Slice 0 is the Jacobi-Trudi determinant over
-    single-monomial entries; slice i is D(slice i-1) / i, where D acts on
-    the e-basis as the derivation D e_k = (e - k + 1) e_(k-1), e_0 = 1.
-    Substituting e_k = elementary(k, e) gives ``derived_all(lam, e)``.
+    single-monomial entries; slice i is D(slice i-1) / i, where D is the
+    same derivation written in the e-basis: D e_1 = e and
+    D e_(j+1) = (e - j) e_j.  Substituting e_k = elementary(k, e) gives
+    ``derived_all(lam, e)``.
     """
-    lam = Partition(lam)
-    e = variable_count(e)
-    key = (lam.normalized, e)
-    with _cache_lock:
-        hit = _derived_chern_cache.get(key)
-    if hit is not None:
-        return hit
     parts = lam.normalized
     n = len(parts)
     unit = (0,) * e
@@ -151,30 +154,13 @@ def derived_chern(lam, e):
     else:
         rows = [[entry(parts[r] - r + s) for s in range(n)] for r in range(n)]
         slices = [kernels.det_terms(rows, kernels.mul_terms)]
+    images = [(e - j, j - 1 if j else None) for j in range(e)]
     for i in range(1, lam.weight + 1):
-        slices.append(_e_taylor_step(slices[-1], i, e))
+        slices.append(_taylor_step(slices[-1], i, images))
     with _cache_lock:
         # shapes share their few exponent tuples; the cache keeps one of each
         keep = _derived_chern_keys.setdefault
-        result = tuple({keep(k, k): c for k, c in s.items()} for s in slices)
-        _derived_chern_cache[key] = result
-    return result
-
-
-def _e_taylor_step(terms, i, e):
-    """D(terms) / i for terms keyed by exponents of e_1, ..., e_e."""
-    out = {}
-    for exps, c in terms.items():
-        for j, a in enumerate(exps):
-            if a:
-                # d/de_(j+1) times D e_(j+1) = (e - j) e_j
-                key = list(exps)
-                key[j] -= 1
-                if j:
-                    key[j - 1] += 1
-                key = tuple(key)
-                out[key] = out.get(key, 0) + c * a * (e - j)
-    return _exact_quotient(out, i)
+        return tuple({keep(k, k): c for k, c in s.items()} for s in slices)
 
 
 def derived_schur(lam, i, e):

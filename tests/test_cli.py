@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from schurhr import acceptance, cli, quadforms
+from schurhr import acceptance, analysis, cli, quadforms
 from schurhr.errors import DegreeMismatchError
 from schurhr.partitions import partitions_up_to
 from schurhr.polyring import MultiPoly, elementary
@@ -398,6 +398,27 @@ def test_verify_internal_error_is_not_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "CRITERIA", [(1, broken)])
     assert cli.main(["verify", "--criteria", "1", "--workers", "1"]) == cli.CHECK_VIOLATION
     assert "internal error: DegreeMismatchError" in capsys.readouterr().err
+
+
+def test_internal_error_in_any_subcommand_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(*args):
+        raise KeyError("raised inside kt")
+
+    monkeypatch.setattr(analysis, "kt_sequence", broken)
+    argv = ["kt", "--space", "2", "--lines", "1;1", "--bundle2-lines", "1;1",
+            "--lambda", "1,1", "--mu", "1,1"]
+    assert cli.main(argv) == cli.CHECK_VIOLATION
+    err = capsys.readouterr().err
+    assert "Traceback" in err
+    assert err.endswith("internal error: KeyError: 'raised inside kt'\n")
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    argv = ["seq", "--lambda", "1,1", "--point", "1,1", "--output", str(out)]
+    assert cli.main(argv) == cli.USAGE_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
 
 
 def test_verify_malformed_criteria_is_a_usage_error(capsys):

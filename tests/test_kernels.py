@@ -4,10 +4,10 @@ import gc
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schurhr import Space, kernels
+from schurhr import CohClass, MultiPoly, Space, kernels
 
 
 def _rand_terms(rng, nvars, nterms, rational=False, caps=None):
@@ -81,6 +81,18 @@ def _caps_and_terms(draw):
 def test_packed_capped_mul_matches_oracle(case):
     caps, a, b = case
     assert _capped_mul(a, b, caps) == _oracle_mul(a, b, caps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_caps_and_terms())
+# x/2 times 2, and tau/2 times 2 tau on P^2: each product cancels to 1
+@example(([2], {(1,): Fraction(1, 2)}, {(0,): 2}))
+@example(([2], {(1,): Fraction(1, 2)}, {(1,): 2}))
+def test_products_have_canonical_coefficients(case):
+    caps, a, b = case
+    n, X = len(caps), Space(caps)
+    for prod in (MultiPoly(n, a) * MultiPoly(n, b), CohClass(X, a) * CohClass(X, b)):
+        assert all(type(c) is int or c.denominator > 1 for c in prod.terms.values())
 
 
 @settings(max_examples=100, deadline=None)

@@ -118,5 +118,5 @@ def test_ssyt_weight_counts_totals():
 
 def test_json_round_trip():
     lam = Partition((3, 1, 0))
-    assert Partition.from_json(lam.to_json()) == lam
+    assert Partition(lam.to_json()) == lam
     assert lam.to_json() == [3, 1, 0]

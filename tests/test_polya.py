@@ -17,7 +17,7 @@ from schurhr.cohomology import CohClass, Space
 from schurhr.errors import PreconditionError
 from schurhr.partitions import dual_in_box, partitions_in_box, partitions_of
 from schurhr.quadforms import inertia, intersection_form
-from schurhr.realroots import count_distinct_real_roots, has_only_real_roots
+from schurhr.realroots import _root_counts, has_only_real_roots
 
 
 def _combination(mus):
@@ -54,7 +54,7 @@ def test_minor_route_length_cap():
 def test_sturm_machinery():
     # (z+1)^2 (z+2): three real roots, two distinct
     poly = [2, 5, 4, 1]
-    assert count_distinct_real_roots(poly) == 2
+    assert _root_counts(poly)[0] == 2
     assert has_only_real_roots(poly)
     assert not has_only_real_roots([1, 0, 0, 1])
     assert has_only_real_roots([0, 0, 1])  # z^2
@@ -65,10 +65,10 @@ def test_sturm_machinery():
     # rational coefficients
     assert has_only_real_roots([Fraction(1, 2), Fraction(3, 2), 1])
     # z^3 + z = z (z^2 + 1): one real root of three
-    assert count_distinct_real_roots([0, 1, 0, 1]) == 1
+    assert _root_counts([0, 1, 0, 1])[0] == 1
     assert not has_only_real_roots([0, 1, 0, 1])
     # z^2 (z^2 + 1): a double root at zero and a complex pair
-    assert count_distinct_real_roots([0, 0, 1, 0, 1]) == 1
+    assert _root_counts([0, 0, 1, 0, 1])[0] == 1
     assert not has_only_real_roots([0, 0, 1, 0, 1])
 
 
@@ -80,7 +80,7 @@ def test_sturm_counts_products_of_linear_factors(roots):
     poly = [Fraction(1)]
     for r in roots:
         poly = [a * r + b for a, b in zip(poly + [0], [0] + poly)]
-    assert count_distinct_real_roots(poly) == len(set(roots))
+    assert _root_counts(poly)[0] == len(set(roots))
     assert has_only_real_roots(poly)
 
 
@@ -103,7 +103,7 @@ def test_sturm_counts_repeated_roots(factors, j, c, k):
         poly = [a * c + b for a, b in zip(poly + [0, 0], [0, 0] + poly)]
     poly = [0] * j + poly
     roots = {-r for r, _ in factors} | ({0} if j else set())
-    assert count_distinct_real_roots(poly) == len(roots)
+    assert _root_counts(poly)[0] == len(roots)
     assert has_only_real_roots(poly) == (k == 0)
 
 

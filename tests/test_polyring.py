@@ -290,7 +290,7 @@ def test_hessian_reconstructs_the_quadratic():
                     mono = [0] * e
                     mono[i] += 1
                     mono[j] += 1
-                    rebuilt = rebuilt + MultiPoly.monomial(mono, Fraction(m[i][j], 2))
+                    rebuilt = rebuilt + MultiPoly(e, {tuple(mono): Fraction(m[i][j], 2)})
         assert rebuilt == p.partial_multi(alpha)
 
 

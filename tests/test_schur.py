@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from schurhr import schur
 from schurhr.partitions import Partition, partitions_in_box, partitions_up_to
 from schurhr.polyring import MultiPoly, elementary
-from schurhr.schur import (_e_taylor_step, _taylor_step, derived_all,
+from schurhr.schur import (_taylor_step, derived_all,
                            derived_chern, derived_schur, derived_table_check,
                            dual_reversal_check, elementary_row_check,
                            format_elementary, schur_jt, schur_ssyt)
@@ -103,15 +103,38 @@ def test_derived_slices_sum_to_the_shifted_polynomial(case):
     assert total == schur_jt(lam, e).evaluate([v + t for v in x])
 
 
+def _x_images(e):
+    # D x_j = 1
+    return [(1, None)] * e
+
+
+def _e_images(e):
+    # D e_1 = e and D e_(j+1) = (e - j) e_j
+    return [(e - j, j - 1 if j else None) for j in range(e)]
+
+
 def test_taylor_step_rejects_an_inexact_division():
     # D(x1^2 + x1*x2) = 3*x1 + x2, and 3 is not a multiple of 2
-    assert _taylor_step({(2, 0): 1, (1, 1): 1}, 1) == {(1, 0): 3, (0, 1): 1}
+    assert _taylor_step({(2, 0): 1, (1, 1): 1}, 1, _x_images(2)) == {(1, 0): 3, (0, 1): 1}
     with pytest.raises(ArithmeticError):
-        _taylor_step({(2, 0): 1, (1, 1): 1}, 2)
-    # the e-basis step shares the division: in one variable D(e_1^2) = 2 e_1
-    assert _e_taylor_step({(2,): 1}, 2, 1) == {(1,): 1}
+        _taylor_step({(2, 0): 1, (1, 1): 1}, 2, _x_images(2))
+    # in e_1, e_2: D(e_1 * e_2) = 2 e_2 + e_1^2, and 1 is not a multiple of 2
+    assert _taylor_step({(1, 1): 1}, 1, _e_images(2)) == {(0, 1): 2, (2, 0): 1}
     with pytest.raises(ArithmeticError):
-        _e_taylor_step({(2,): 1}, 4, 1)
+        _taylor_step({(1, 1): 1}, 2, _e_images(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda e: st.tuples(st.just(e), st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * e), st.integers(-9, 9).filter(bool), max_size=6))))
+def test_one_taylor_step_in_both_bases(case):
+    # the step over the e-basis images, then e_k -> elementary(k, e), is the
+    # step over the monomial images of the substituted polynomial
+    e, terms = case
+    elems = [elementary(k, e) for k in range(1, e + 1)]
+    lhs = MultiPoly(e, _taylor_step(terms, 1, _e_images(e))).substitute(elems)
+    x_terms = MultiPoly(e, terms).substitute(elems).terms
+    assert lhs == MultiPoly(e, _taylor_step(x_terms, 1, _x_images(e)))
 
 
 def test_e_basis_slices_are_the_shift_slices():

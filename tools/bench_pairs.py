@@ -13,9 +13,12 @@ other, each with its own pairs.
 For every end-to-end metric the file gives, per side, the median and the
 quartiles q1 and q3 (``statistics.quantiles``, inclusive method) over the
 pairs, and ``after_lower_in_pairs``, the number of pairs in which the after
-run read lower.  It also gives the pass count of every run, the runs whose
-checks failed or that exited nonzero, the machine, and both revisions.  An
-existing file at ``--out`` keeps its entries for other workloads and seeds.
+run read lower, and a ``verdict`` (see ``verdict``) against the bound in
+``BENCHMARK.json`` ``end_to_end`` of the before checkout.  It also gives the
+pass count of every run, the runs whose checks failed or that exited nonzero,
+the machine, and both revisions.  An existing file at ``--out`` keeps its
+entries for other workloads and seeds.  The last line printed lists every
+verdict.
 """
 
 import argparse
@@ -36,8 +39,32 @@ def quartiles(values):
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def summarize(before, after):
-    """Per metric, the quartiles of each side and the pairs where after < before.
+def verdict(before, after, bound):
+    """How the after runs of one lower-is-better metric compare, paired by
+    position with the before runs; the first rule that applies decides.
+
+    - "worse": the after median exceeds the before median by more than bound;
+    - "unresolved": the before IQR is wider than bound, unless every after
+      run reads lower than every before run;
+    - "lower": the after run reads lower in at least 9 of 10 pairs (ties
+      count for neither side), and the median drop exceeds the before IQR;
+    - "no change": otherwise.
+    """
+    q1, median, q3 = statistics.quantiles(before, n=4, method="inclusive")
+    drop, iqr = median - statistics.median(after), q3 - q1
+    if -drop > bound:
+        return "worse"
+    if iqr > bound and max(after) >= min(before):
+        return "unresolved"
+    lower = sum(y < x for x, y in zip(before, after))
+    if 10 * lower >= 9 * len(before) and drop > iqr:
+        return "lower"
+    return "no change"
+
+
+def summarize(before, after, bounds):
+    """Per metric, the quartiles of each side, the pairs where after < before
+    and the verdict against ``bounds[metric]``.
 
     ``before`` and ``after`` are lists of {metric: value}, one per run,
     paired by position.
@@ -52,8 +79,15 @@ def summarize(before, after):
             "before": quartiles(b),
             "after": quartiles(a),
             "after_lower_in_pairs": sum(y < x for x, y in zip(b, a)),
+            "verdict": verdict(b, a, bounds[name]),
         }
     return out
+
+
+def bounds_of(checkout):
+    """{metric: bound} from the ``end_to_end`` list of a checkout's BENCHMARK.json."""
+    doc = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in doc["end_to_end"]}
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -71,7 +105,7 @@ def run_once(checkout, workload, seed, seconds):
     return metrics, passes, result["failed"], proc.returncode
 
 
-def pairs(before_dir, after_dir, workload, seed, count, seconds):
+def pairs(before_dir, after_dir, workload, seed, count, seconds, bounds):
     """The entry of one workload and seed: ``count`` alternating pairs."""
     sides = {"before": [], "after": []}
     for k in range(count):
@@ -90,7 +124,8 @@ def pairs(before_dir, after_dir, workload, seed, count, seconds):
         "checks_failed": {side: sum(r[2] for r in runs) for side, runs in sides.items()},
         "exit_nonzero": {side: sum(r[3] != 0 for r in runs) for side, runs in sides.items()},
     }
-    entry.update(summarize([r[0] for r in sides["before"]], [r[0] for r in sides["after"]]))
+    entry.update(summarize([r[0] for r in sides["before"]], [r[0] for r in sides["after"]],
+                           bounds))
     return entry
 
 
@@ -138,9 +173,14 @@ def main():
         "claim": args.claim,
     })
     end_to_end = doc.setdefault("end_to_end", {})
+    bounds = bounds_of(args.before)
+    verdicts = []
     for workload in args.workload:
-        entry = pairs(args.before, args.after, workload, args.seed, args.pairs, args.seconds)
+        entry = pairs(args.before, args.after, workload, args.seed, args.pairs, args.seconds,
+                      bounds)
         end_to_end[f"{workload}:{args.seed}"] = entry
+        verdicts.append(f"{workload}:{args.seed} " + ", ".join(
+            f"{name} {entry[name]['verdict']}" for name in METRICS))
         args.out.write_text(json.dumps(doc, indent=2) + "\n")
         wall = entry["wall_s"]
         drop = wall["before"]["median"] - wall["after"]["median"]
@@ -148,6 +188,7 @@ def main():
         print(f"{workload}:{args.seed} wall_s median {wall['before']['median']} -> "
               f"{wall['after']['median']}, lower in {wall['after_lower_in_pairs']} of "
               f"{args.pairs} pairs; median drop {drop:.4f} vs before IQR {iqr:.4f}")
+    print("verdicts: " + "; ".join(verdicts))
 
 
 if __name__ == "__main__":
