@@ -145,7 +145,7 @@ def fl_positivity(E, lam, i):
     """
     lam = Partition(lam)
     _check_weight(lam, _nef_space(E).dim + int(i), "dim + i")
-    return monomial_positivity([E], [lam], [i])
+    return _integral([E], [lam], [int(i)])
 
 
 def monomial_positivity(bundles, lams, orders):
@@ -167,10 +167,16 @@ def monomial_positivity(bundles, lams, orders):
         raise DegreeMismatchError(
             f"total degree {total_deg} does not match dim {space.dim}"
         )
-    prod, den = CohClass.unit(space), 1
+    return _integral(bundles, lams, orders)
+
+
+def _integral(bundles, lams, orders):
+    """``monomial_positivity`` once its inputs are checked."""
+    prod, den = None, 1
     for E, lam, i in zip(bundles, lams, orders):
         b, Eb = _integral_roots(E)
-        prod = prod * derived_schur_class(lam, i, Eb)
+        factor = derived_schur_class(lam, i, Eb)
+        prod = factor if prod is None else prod * factor
         if prod.is_zero:  # also where i is outside 0..|lam|
             break
         den *= b ** (lam.weight - i)
@@ -552,31 +558,18 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _derivatives(p, order, j=0):
-    """[(alpha, d^alpha p)] for |alpha| = order on the variables from j on, in
-    the order of _compositions: one partial per edge of the prefix tree."""
-    chain = [p]
-    for _ in range(order):
-        chain.append(chain[-1].partial(j))
-    if j == p.nvars - 1:
-        return [((order,), chain[order])]
-    return [((first,) + rest, q) for first in range(order, -1, -1)
-            for rest, q in _derivatives(chain[first], order - first, j + 1)]
-
-
 def _strict_report(p, mode, epsilon):
-    d = _lorentzian_degree(p)
-    e = p.nvars
     # a positive scaling keeps every coefficient sign and every inertia, and
-    # this one leaves integers for the partials and Hessians below
+    # this one leaves integers for the Hessians below
     p = p.scale(common_denominator(p.terms.values()))
+    d, e = _lorentzian_degree(p), p.nvars
     # a degree-d monomial that is not stored has coefficient zero
     bad_coeffs = tuple(
         sorted(mu for mu in _compositions(d, e) if p.terms.get(mu, 0) <= 0)
     )
     bad_h = []
-    for alpha, q in _derivatives(p, d - 2):
-        t = inertia(q.hessian_of_partial((0,) * e))  # q is quadratic
+    for alpha in _compositions(d - 2, e):
+        t = inertia(p.hessian_of_partial(alpha))
         if not t.is_hr:
             bad_h.append((alpha, t))
     return LorentzianReport(
@@ -609,7 +602,8 @@ def _epsilon_shift(q, epsilon, box):
             for j in range(e)]
     shifted = q.scale(c).substitute(repl)
     scale = c * b ** q.homogeneous_degree()
-    return MultiPoly(e, {mu: Fraction(v, scale) for mu, v in shifted.exps_terms().items()})
+    return MultiPoly._raw(
+        e, {mu: canon(Fraction(v, scale)) for mu, v in shifted.exps_terms().items()})
 
 
 def lorentzian_witness(p, epsilon):

@@ -83,3 +83,62 @@ def test_verdict_lower_needs_nine_of_ten_pairs_and_a_drop_past_the_iqr():
 
 def test_verdict_no_change_on_equal_runs():
     assert bench_pairs.verdict(BEFORE, list(BEFORE), 0.25) == "no change"
+
+
+# the "metrics" object of a --trace 1 result, cut down
+TRACED = {
+    "kernels.mul_terms_capped.calls": {"value": 868.0, "unit": "count"},
+    "kernels.mul_terms_capped.term_products": {"value": 87576.0, "unit": "count"},
+    "kernels.mul_terms_capped.out_terms": {"value": 33134.0, "unit": "count"},
+    "kernels.mul_terms_capped.self_s": {"value": 0.0357, "unit": "s"},
+    "schur.schur_jt.miss_ratio": {"value": 0.6667, "unit": "ratio"},
+    "quadforms.inertia.calls": {"value": 448.0, "unit": "count"},
+    "analysis.minor_dets": {"value": 0.0, "unit": "count"},
+    "setup_s": {"value": 0.21, "unit": "s"},
+}
+
+
+def test_counts_of_keeps_the_count_metrics_as_ints():
+    got = bench_pairs.counts_of(TRACED)
+    assert got == {
+        "kernels.mul_terms_capped.calls": 868,
+        "kernels.mul_terms_capped.term_products": 87576,
+        "kernels.mul_terms_capped.out_terms": 33134,
+        "quadforms.inertia.calls": 448,
+    }
+    assert all(type(v) is int for v in got.values())
+    # a median between two passes may be a half
+    assert bench_pairs.counts_of({"a.calls": {"value": 2.5}}) == {"a.calls": 2.5}
+
+
+def test_per_layer_counts_pairs_the_sides_by_name():
+    before = bench_pairs.counts_of(TRACED)
+    after = dict(before, **{"kernels.mul_terms_capped.calls": 2664, "new.calls": 1})
+    del after["quadforms.inertia.calls"]
+    got = bench_pairs.per_layer_counts(before, after)
+    assert list(got) == sorted(got)
+    assert got["kernels.mul_terms_capped.calls"] == {"before": 868, "after": 2664}
+    assert got["kernels.mul_terms_capped.out_terms"] == {"before": 33134, "after": 33134}
+    assert got["quadforms.inertia.calls"] == {"before": 448, "after": None}
+    assert got["new.calls"] == {"before": None, "after": 1}
+
+
+def test_pairs_adds_the_traced_counts(monkeypatch):
+    calls = []
+
+    def fake_run_json(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, trace))
+        if trace:
+            return [], {"metrics": TRACED}, 0
+        lines = ["passes 3: fake"]
+        metrics = {name: {"value": 1.0 if checkout == "b" else 0.9}
+                   for name in bench_pairs.METRICS}
+        return lines, {"metrics": metrics, "failed": 0}, 0
+
+    monkeypatch.setattr(bench_pairs, "run_json", fake_run_json)
+    entry = bench_pairs.pairs("b", "a", "symbolic", 1, 2, 1, BOUNDS)
+    # one traced run per side first, then the pairs in alternating order
+    assert calls == [("b", 1), ("a", 1), ("b", 0), ("a", 0), ("a", 0), ("b", 0)]
+    assert entry["trace_exit"] == {"before": 0, "after": 0}
+    assert entry["per_layer_counts"]["quadforms.inertia.calls"] == {"before": 448, "after": 448}
+    assert entry["wall_s"]["after_lower_in_pairs"] == 2

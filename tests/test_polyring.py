@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic and the box/normalization operators."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -105,23 +106,83 @@ def test_substitute_matches_the_term_by_term_sum(case):
     assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
 
 
+def _spy_products(monkeypatch, cls):
+    """The (left, right) operand pairs of every multiply of cls from now on."""
+    products = []
+    original = cls._mul
+
+    def spy(self, a, b):
+        products.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(cls, "_mul", spy)
+    return products
+
+
 def test_substitute_multiplies_only_by_one_replacement(monkeypatch):
     X = Space([3, 3])
     reps = [CohClass.linear(X, [2, 1]), CohClass.linear(X, [1, 3]) + 1]
     p = P(2, {(3, 2): 1, (1, 2): half, (0, 1): -2, (0, 0): 5})
     want = _naive_substitute(p, reps)
-    right = []
-    original = CohClass._mul
-
-    def spy(self, a, b):
-        right.append(b)
-        return original(self, a, b)
-
-    monkeypatch.setattr(CohClass, "_mul", spy)
+    products = _spy_products(monkeypatch, CohClass)
     assert p.substitute(reps) == want
-    # r_2^2 at x1^3, times r_1^2, + r_2^2, times r_1, + (-2 r_2 + 5): 3 + 5 multiplies
-    assert len(right) == 8
-    assert all(any(b is r.terms for r in reps) for b in right)
+    # r_2^2 at x1^3 (the one multiply that tables r_2^2), times r_1^2, + r_2^2
+    # (read off the table), times r_1, + (-2 r_2 + 5) (r_2 read off the table):
+    # 1 + 2 + 1 multiplies
+    assert len(products) == 4
+    assert all(any(b is r.terms for r in reps) for _, b in products)
+
+
+@pytest.mark.parametrize("ring", ["poly", "class"])
+def test_substitute_innermost_groups_of_a_homogeneous_polynomial_cost_no_product(
+        monkeypatch, ring):
+    # degree 4 in 3 variables: every innermost group is one term c * x_3^k,
+    # and k takes each value 0..3 more than once (4 once)
+    p = schur_jt((1, 1, 1, 1), 3)  # all 15 monomials of degree 4
+    if ring == "poly":
+        reps = [x(0, 3) + x(1, 3), 2 * x(1, 3) - x(2, 3), x(0, 3) + 3 * x(2, 3)]
+    else:
+        reps = [CohClass.linear(Space([4, 4, 4]), v)
+                for v in ([2, 1, 1], [1, 3, 1], [1, 1, 4])]
+    want = _naive_substitute(p, reps)
+    products = _spy_products(monkeypatch, type(reps[0]))
+    assert p.substitute(reps) == want
+    (unit,) = reps[0].constant(1, reps[0].ring).terms
+    # no multiply has a single constant on its left: those read the table
+    assert not any(len(a) == 1 and unit in a for a, _ in products)
+    # the powers of r_3 are tabled once: r_3^2 ... r_3^k for the largest k
+    top = max(e[2] for e in p.terms)
+    assert sum(b is reps[2].terms for _, b in products) == top - 1
+    assert all(any(b is r.terms for r in reps) for _, b in products)
+
+
+def test_substitute_leaves_the_replacements_unchanged():
+    # results read off the power table, and sums into them, are fresh dicts
+    X = Space([3, 3])
+    reps = [CohClass.linear(X, [2, 1]), CohClass.linear(X, [1, 3])]
+    saved = [dict(r.terms) for r in reps]
+    for p in (P(2, {(1, 0): 3}), P(2, {(0, 2): 1, (1, 1): -1}), P(2, {(0, 1): 1})):
+        first = p.substitute(reps)
+        second = p.substitute(reps)
+        assert first == second and first.terms is not second.terms
+        kernels.add_scaled(first.terms, reps[0].terms, 5)
+        kernels.add_scaled(second.terms, reps[1].terms)
+        assert [r.terms for r in reps] == saved
+        assert all(r.terms is not t for r in reps for t in (first.terms, second.terms))
+
+
+def test_substitute_leaves_no_reference_cycle():
+    # the power table is freed when the call returns, not at a later collection
+    X = Space([4, 4])
+    reps = [CohClass.linear(X, [2, 1]), CohClass.linear(X, [1, 3])]
+    p = P(2, {(3, 1): 1, (1, 3): -2, (0, 4): 5})
+    gc.collect()
+    gc.disable()
+    try:
+        assert p.substitute(reps) == _naive_substitute(p, reps)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_substitute_without_variables_returns_the_polynomial():
@@ -277,6 +338,52 @@ def test_hessian_rejects_bad_alpha():
         P(2, {(2, 0): 1, (1, 0): 1}).hessian_of_partial((0, 0))
 
 
+def _partial(p, j):
+    # the exact partial derivative by x_j, term by term
+    out = {}
+    for e, c in p.terms.items():
+        if e[j]:
+            out[e[:j] + (e[j] - 1,) + e[j + 1:]] = c * e[j]
+    return MultiPoly(p.nvars, out)
+
+
+def _partial_multi(p, alpha):
+    # the iterated partial d^alpha p, one variable at a time
+    for j, a in enumerate(alpha):
+        for _ in range(a):
+            p = _partial(p, j)
+    return p
+
+
+def _oracle_hessian(p, alpha):
+    # differentiate d - 2 times along alpha, then twice more; the constants left
+    q = _partial_multi(p, alpha)
+    e = p.nvars
+    return tuple(tuple(_partial(_partial(q, i), j).coefficient((0,) * e) for j in range(e))
+                 for i in range(e))
+
+
+@st.composite
+def _hessian_cases(draw):
+    e = draw(st.integers(1, 4))
+    d = draw(st.integers(2, 5))
+    monomials = [m for m in itertools.product(range(d + 1), repeat=e) if sum(m) == d]
+    terms = draw(st.dictionaries(st.sampled_from(monomials), _coeffs, min_size=1, max_size=8))
+    alphas = [m for m in itertools.product(range(d - 1), repeat=e) if sum(m) == d - 2]
+    return MultiPoly(e, terms), draw(st.sampled_from(alphas))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_hessian_cases())
+@example((P(3, {(2, 1, 1): 3, (0, 4, 0): half, (1, 0, 3): -2}), (0, 2, 0)))
+@example((P(4, {(1, 1, 1, 0): Fraction(2, 3), (0, 0, 0, 3): 5}), (0, 0, 0, 1)))
+def test_hessian_of_partial_is_the_hessian_of_the_iterated_partial(case):
+    p, alpha = case
+    got = p.hessian_of_partial(alpha)
+    assert got == _oracle_hessian(p, alpha)
+    assert all(type(c) is int or c.denominator > 1 for row in got for c in row)
+
+
 def test_hessian_reconstructs_the_quadratic():
     # 1/2 x M x^T must rebuild the alpha-partial itself
     p = schur_jt((2, 2), 3)
@@ -291,7 +398,7 @@ def test_hessian_reconstructs_the_quadratic():
                     mono[i] += 1
                     mono[j] += 1
                     rebuilt = rebuilt + MultiPoly(e, {tuple(mono): Fraction(m[i][j], 2)})
-        assert rebuilt == p.partial_multi(alpha)
+        assert rebuilt == _partial_multi(p, alpha)
 
 
 def test_euler_identity():
@@ -300,7 +407,7 @@ def test_euler_identity():
         d = p.homogeneous_degree()
         total = MultiPoly.zero(e)
         for j in range(e):
-            total = total + MultiPoly.variable(j, e) * p.partial(j)
+            total = total + MultiPoly.variable(j, e) * _partial(p, j)
         assert total == d * p
 
 

@@ -19,6 +19,12 @@ pass count of every run, the runs whose checks failed or that exited nonzero,
 the machine, and both revisions.  An existing file at ``--out`` keeps its
 entries for other workloads and seeds.  The last line printed lists every
 verdict.
+
+Each workload also gets one ``run.py --trace 1`` run of ``TRACE_SECONDS``
+per side, before the pairs, and its entry holds ``per_layer_counts``: the
+before and after value of every count metric (the names ending in
+``.calls``, ``.term_products`` or ``.out_terms``; see ``counts_of``), and
+``trace_exit``, the exit code of each traced run.
 """
 
 import argparse
@@ -31,6 +37,8 @@ import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "wall_s", "cpu_s", "peak_rss_mb")
+COUNTS = (".calls", ".term_products", ".out_terms")
+TRACE_SECONDS = 5
 
 
 def quartiles(values):
@@ -84,29 +92,64 @@ def summarize(before, after, bounds):
     return out
 
 
+def counts_of(metrics):
+    """{name: value} of the count metrics in the "metrics" object of a
+    ``--trace 1`` result; a whole value becomes an int."""
+    out = {}
+    for name, m in metrics.items():
+        if name.endswith(COUNTS):
+            v = m["value"]
+            out[name] = int(v) if float(v).is_integer() else v
+    return out
+
+
+def per_layer_counts(before, after):
+    """{name: {"before", "after"}} over the count metrics of either side, by
+    name; a side that lacks a metric reads None."""
+    return {name: {"before": before.get(name), "after": after.get(name)}
+            for name in sorted(before.keys() | after.keys())}
+
+
 def bounds_of(checkout):
     """{metric: bound} from the ``end_to_end`` list of a checkout's BENCHMARK.json."""
     doc = json.loads((checkout / "BENCHMARK.json").read_text())
     return {m["name"]: m["bound"] for m in doc["end_to_end"]}
 
 
-def run_once(checkout, workload, seed, seconds):
-    """One ``run.py --trace 0`` run: (metrics, pass count, checks failed, exit code)."""
+def run_json(checkout, workload, seed, seconds, trace):
+    """One ``run.py`` run: (its output lines, its last line as JSON, exit code)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if not lines or not lines[-1].startswith("{"):
         sys.exit(f"bench_pairs: no result from {checkout}:\n{proc.stderr[-2000:]}")
-    result = json.loads(lines[-1])
+    return lines, json.loads(lines[-1]), proc.returncode
+
+
+def run_once(checkout, workload, seed, seconds):
+    """One ``run.py --trace 0`` run: (metrics, pass count, checks failed, exit code)."""
+    lines, result, code = run_json(checkout, workload, seed, seconds, 0)
     metrics = {name: result["metrics"][name]["value"] for name in METRICS}
     passes = next(int(ln.split()[1].rstrip(":")) for ln in lines if ln.startswith("passes "))
-    return metrics, passes, result["failed"], proc.returncode
+    return metrics, passes, result["failed"], code
+
+
+def traced_counts(before_dir, after_dir, workload, seed):
+    """``per_layer_counts`` and ``trace_exit`` of one ``--trace 1`` run per side."""
+    counts, codes = {}, {}
+    for side, checkout in (("before", before_dir), ("after", after_dir)):
+        _, result, codes[side] = run_json(checkout, workload, seed, TRACE_SECONDS, 1)
+        counts[side] = counts_of(result["metrics"])
+    return {"per_layer_counts": per_layer_counts(counts["before"], counts["after"]),
+            "trace_exit": codes}
 
 
 def pairs(before_dir, after_dir, workload, seed, count, seconds, bounds):
-    """The entry of one workload and seed: ``count`` alternating pairs."""
+    """The entry of one workload and seed: ``count`` alternating pairs, after
+    the traced runs."""
+    traced = traced_counts(before_dir, after_dir, workload, seed)
     sides = {"before": [], "after": []}
     for k in range(count):
         order = [("before", before_dir), ("after", after_dir)]
@@ -126,6 +169,7 @@ def pairs(before_dir, after_dir, workload, seed, count, seconds, bounds):
     }
     entry.update(summarize([r[0] for r in sides["before"]], [r[0] for r in sides["after"]],
                            bounds))
+    entry.update(traced)
     return entry
 
 
