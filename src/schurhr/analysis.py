@@ -9,18 +9,18 @@ floating point.
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .bundles import (SplitBundle, _integral_roots, chern_all, class_is_nef,
                       derived_schur_class, derived_schur_classes, schur_class)
 from .cohomology import CohClass, Space
 from .errors import DegreeMismatchError, PreconditionError
 from .partitions import Partition, dual_in_box
-from .polyring import MultiPoly, evaluate_many
+from .polyring import MultiPoly, _pack, evaluate_many
 from .quadforms import inertia, intersection_form
 from .rationals import canon, common_denominator, fmt_q, parse_q
 from .realroots import has_only_real_roots
-from .schur import derived_all, schur_jt
+from .schur import derived_chern, schur_jt
 
 # ---------------------------------------------------------------------------
 # sequences
@@ -284,8 +284,7 @@ def derived_value_sequence(lam, x):
     """i -> s_lam^(i)(x) at a nonnegative rational point."""
     lam = Partition(lam)
     [x] = _nonnegative_points(x)
-    values = evaluate_many(derived_all(lam, len(x)), x)
-    return Sequence(tuple(values), provenance="derived-values", start=0)
+    return Sequence(_slice_values(lam, x, 0, lam.weight), provenance="derived-values")
 
 
 def pair_value_sequence(lam, mu, d, x, y):
@@ -300,11 +299,24 @@ def pair_value_sequence(lam, mu, d, x, y):
     hi = min(mu.weight, lam.weight - shift)
     if hi < lo:
         return Sequence((), provenance="pair-values", start=0)
-    # only the slices read below
-    vx = evaluate_many(derived_all(lam, len(x))[shift + lo:shift + hi + 1], x)
-    vy = evaluate_many(derived_all(mu, len(y))[lo:hi + 1], y)
+    vx = _slice_values(lam, x, shift + lo, shift + hi)
+    vy = _slice_values(mu, y, lo, hi)
     values = tuple(canon(u * v) for u, v in zip(vx, vy))
     return Sequence(values, provenance="pair-values", start=lo)
+
+
+def _slice_values(lam, x, lo, hi):
+    """(s_lam^(lo)(x), ..., s_lam^(hi)(x)) off the e-basis slices of
+    ``schur.derived_chern``.  With b the common denominator of x, slice i
+    is weighted homogeneous of degree |lam| - i, so at the integers
+    e_k(b * x) it is b^(|lam| - i) times its value at x."""
+    b, e = common_denominator(x), len(x)
+    ek = [1]  # the coefficients of prod(1 + b x_j t), e_0 first
+    for n in (v.numerator * (b // v.denominator) for v in x):
+        ek = [u + n * w for u, w in zip(ek + [0], [0] + ek)]
+    slices = [MultiPoly._raw(e, t) for t in derived_chern(lam, e)[lo:hi + 1]]
+    return [canon(Fraction(v, b ** (lam.weight - i)))
+            for i, v in enumerate(evaluate_many(slices, ek[1:]), lo)]
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +576,8 @@ def _strict_report(p, mode, epsilon):
     p = p.scale(common_denominator(p.terms.values()))
     d, e = _lorentzian_degree(p), p.nvars
     # a degree-d monomial that is not stored has coefficient zero
-    bad_coeffs = tuple(
-        sorted(mu for mu in _compositions(d, e) if p.terms.get(mu, 0) <= 0)
-    )
+    positive = {mu for mu, c in p.exps_terms().items() if c > 0}
+    bad_coeffs = tuple(sorted(mu for mu in _compositions(d, e) if mu not in positive))
     bad_h = []
     for alpha in _compositions(d - 2, e):
         t = inertia(p.hessian_of_partial(alpha))
@@ -582,15 +593,15 @@ def _strict_report(p, mode, epsilon):
 
 
 def _epsilon_shift(q, epsilon, box):
-    """q(x + epsilon * (x_1 + ... + x_e)) without its terms outside [0, box]^e.
+    """(s, m): s = m * q(x + epsilon * (x_1 + ... + x_e)) without its terms
+    outside [0, box]^e, with integer coefficients, and m a positive int.
 
     With epsilon = a/b, q homogeneous of degree D and c the lcm of the
     denominators of q's coefficients,
 
         c * b^D * q(x + epsilon * sum(x)) = (c * q)(b * x + a * sum(x)),
 
-    so the substitution runs on integers only, and each coefficient that
-    survives the truncation is divided by c * b^D once.
+    so the substitution runs on integers only, and m = c * b^D.
     """
     a, b = epsilon.numerator, epsilon.denominator
     e = q.nvars
@@ -601,9 +612,8 @@ def _epsilon_shift(q, epsilon, box):
     repl = [CohClass.linear(ring, [a + b if i == j else a for i in range(e)])
             for j in range(e)]
     shifted = q.scale(c).substitute(repl)
-    scale = c * b ** q.homogeneous_degree()
-    return MultiPoly._raw(
-        e, {mu: canon(Fraction(v, scale)) for mu, v in shifted.exps_terms().items()})
+    s = {_pack(mu): v for mu, v in shifted.exps_terms().items()}
+    return MultiPoly._raw(e, s), c * b ** q.homogeneous_degree()
 
 
 def lorentzian_witness(p, epsilon):
@@ -613,13 +623,15 @@ def lorentzian_witness(p, epsilon):
     variable by epsilon times the variable sum in the ring truncated to the
     box (the shift piles exponents above it; those coefficients never enter
     the quadratic slices), mirror back and normalize.  The shift runs over the
-    integers; ``_epsilon_shift`` says how.
+    integers (``_epsilon_shift`` says how), and so does the normalization of
+    its mirror times d!, as mu! divides d!; one division by d! * m ends it.
     """
     epsilon = parse_q(epsilon)
     d = _lorentzian_degree(p)
     box = max(p.nvars, d)
-    q = p.denormalize().box_reverse(box)
-    return _epsilon_shift(q, epsilon, box).box_reverse(box).normalize()
+    s, m = _epsilon_shift(p.denormalize().box_reverse(box), epsilon, box)
+    w = s.box_reverse(box).scale(factorial(d)).normalize()  # d!/mu! * s_mu
+    return w.scale(Fraction(1, factorial(d) * m))
 
 
 def lorentzian_check(p, mode="strict", epsilon=Fraction(1, 100)):
@@ -693,7 +705,8 @@ def hessian_vs_intersection(lam, e, N, alpha, epsilon):
         raise PreconditionError("every N - alpha_j must be at least 1")
 
     bar = dual_in_box(lam, e, N)
-    p_eps = _epsilon_shift(schur_jt(bar, e), epsilon, N).box_reverse(N)
+    s, m = _epsilon_shift(schur_jt(bar, e), epsilon, N)
+    p_eps = s.scale(Fraction(1, m)).box_reverse(N)
     hess = p_eps.normalize().hessian_of_partial(alpha)
 
     space = Space(beta)

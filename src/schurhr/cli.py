@@ -205,7 +205,7 @@ def _cmd_schur(args, cfg):
     if args.basis == "c":
         i = args.derived or 0
         slices = derived_chern(lam, args.vars)
-        rendered = format_elementary(slices[i] if 0 <= i < len(slices) else {})
+        rendered = format_elementary(slices[i] if 0 <= i < len(slices) else {}, args.vars)
     else:
         rendered = str(p)
     if args.json:

@@ -11,6 +11,7 @@ formed once for all of them (``evaluate_terms``).
 
 from . import kernels
 from .errors import SpaceMismatchError
+from .polyring import FIELD
 from .rationals import canon, parse_q
 
 
@@ -161,11 +162,12 @@ class CohClass(kernels.TermElement):
 def evaluate_terms(polys, classes):
     """[p(classes) for p in polys], all on the space of the classes.
 
-    Each p is a term dict keyed by exponent tuples (a_1, ..., a_r), one
-    entry per class, and p(classes) is the sum of c * x_1^a_1 * ... * x_r^a_r
-    with x_j = classes[j - 1].  Every monomial that some p uses is formed
-    once for all of polys, as x_j times its parent, the monomial with a_j
-    one lower for the smallest j with a_j > 0.  The tree of parents is
+    Each p is a term dict keyed by the exponents (a_1, ..., a_r), one per
+    class, packed as ``polyring`` packs them, and p(classes) is the sum of
+    c * x_1^a_1 * ... * x_r^a_r with x_j = classes[j - 1].  Every monomial
+    that some p uses is formed once for all of polys, as x_j times its
+    parent, the monomial with a_j one lower for the smallest j with a_j > 0
+    (the field of the key's lowest set bit).  The tree of parents is
     walked depth first, so only the monomials on one path are held at once.
     ``bundles._slices_at`` uses this, not ``MultiPoly.substitute``, as its
     slices share monomials: one Horner substitution per slice made the
@@ -181,21 +183,18 @@ def evaluate_terms(polys, classes):
     space = first.space
     xs = [x.terms for x in classes]
     bias, guard = space.bias, space.guard
-    unit = (0,) * len(xs)
-    uses, placed, children = {}, {unit}, {}
+    uses, placed, children = {}, {0}, {}
     for k, p in enumerate(polys):
         for exps, c in p.items():
             uses.setdefault(exps, []).append((k, c))
             while exps not in placed:
                 placed.add(exps)
-                j = 0
-                while not exps[j]:
-                    j += 1
-                up = exps[:j] + (exps[j] - 1,) + exps[j + 1:]
+                j = ((exps & -exps).bit_length() - 1) // FIELD
+                up = exps - (1 << FIELD * j)
                 children.setdefault(up, []).append((exps, j))
                 exps = up
     out = [{} for _ in polys]
-    stack = [(unit, None, CohClass.unit(space).terms)]
+    stack = [(0, None, CohClass.unit(space).terms)]
     while stack:
         exps, j, value = stack.pop()
         if j is not None:  # value is the parent's monomial until here

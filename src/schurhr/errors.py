@@ -16,3 +16,7 @@ class DegreeMismatchError(ValueError):
 
 class PreconditionError(ValueError):
     """A documented precondition of a verifier was violated."""
+
+
+class ExponentOverflowError(ValueError, OverflowError):
+    """An exponent does not fit the bit field of a packed monomial key."""

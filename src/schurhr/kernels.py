@@ -2,30 +2,32 @@
 ring-element class built on them.
 
 Terms are dicts mapping monomials to nonzero exact coefficients (int or
-Fraction): exponent tuples for ``mul_terms``, packed ints (``cohomology``)
-for ``mul_terms_capped``, either for the rest.  The three multiply and
-accumulate functions are the hot inner loops of the whole package.
+Fraction).  A monomial is a packed int, its exponents in bit fields, so
+multiplying two monomials is adding their keys: ``polyring`` lays out one
+fixed-width field per variable for ``mul_terms`` and checks its guard bits,
+and ``cohomology.Space`` lays out the capped fields of ``mul_terms_capped``.
+The three multiply and accumulate functions are the hot inner loops of the
+whole package.
 """
 
 import operator
 
-from .errors import DegreeMismatchError
+from .errors import DegreeMismatchError, ExponentOverflowError
 from .rationals import Rational, canon, fmt_terms, parse_q, terms_to_json
 
 __all__ = ["mul_terms", "mul_terms_capped", "add_scaled", "det_terms", "TermElement"]
 
 
 def mul_terms(a, b):
-    """Product of two term dicts with the same exponent length."""
+    """Product of two term dicts keyed by packed exponents of one layout."""
     if len(a) > len(b):
         a, b = b, a
     out = {}
     get = out.get
-    add = operator.add
     bitems = list(b.items())
     for ea, ca in a.items():
         for eb, cb in bitems:
-            key = tuple(map(add, ea, eb))
+            key = ea + eb
             c = ca * cb
             prev = get(key)
             if prev is None:
@@ -150,8 +152,8 @@ class TermElement:
       length and the per-variable caps past which a monomial is zero
       (``None`` when nothing is truncated);
     - ``_mul(a, b)``: the product of two term dicts in the ring;
-    - ``_key(exps)`` and ``_exps(key)``: the stored key of an exponent
-      tuple and back (the identity here, where tuples are the keys);
+    - ``_key(exps)`` and ``_exps(key)``: the packed key of an exponent
+      tuple and back;
     - ``_mismatch``: the error raised for operands from different rings;
     - ``_letter``: the variable letter used when printing.
     """
@@ -203,11 +205,6 @@ class TermElement:
         """c times the unit of the ring."""
         return cls(ring, {(0,) * cls._shape(ring)[1]: c})
 
-    def _key(self, exps):
-        return exps
-
-    _exps = _key
-
     # -- queries -------------------------------------------------------------
 
     @property
@@ -222,7 +219,10 @@ class TermElement:
             raise ValueError(f"exponent {exps} does not have length {width}")
         if min(exps, default=0) < 0 or caps and any(map(operator.gt, exps, caps)):
             return 0  # not stored; a key past a cap would alias another
-        return self.terms.get(self._key(exps), 0)
+        try:
+            return self.terms.get(self._key(exps), 0)
+        except ExponentOverflowError:
+            return 0  # past the key layout, so never stored
 
     def coefficient_matrix(self, corner):
         """Symmetric matrix of the coefficients at corner - e_i - e_j."""

@@ -1,17 +1,55 @@
 """Sparse multivariate polynomials over exact rationals.
 
-Monomials are exponent tuples; coefficients are int or Fraction, never
-float and never stored when zero.  The canonical term order is graded
-lexicographic (descending), used for serialization and printing.
+Coefficients are int or Fraction, never float and never stored when zero.
+A monomial is one packed int (Monagan and Pearce, CASC 2007): exponent j in
+the FIELD bits from bit FIELD*j, the top one a guard, so adding keys adds
+exponents, and one past MAX_EXP, built or multiplied, raises
+``ExponentOverflowError``.  ``schur.derived_chern`` packs its e-basis slices
+the same way.  The canonical term order is graded lexicographic
+(descending), used for serialization and printing.
 """
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 from math import factorial, prod
+from operator import or_
 
 from . import kernels
-from .errors import DegreeMismatchError
+from .errors import DegreeMismatchError, ExponentOverflowError
 from .rationals import canon, common_denominator, parse_q
+
+FIELD = 8
+MASK = (1 << FIELD) - 1
+MAX_EXP = MASK >> 1
+
+
+def _pack(exps):
+    """The key of an exponent tuple."""
+    key = 0
+    for x in reversed(exps):
+        if not 0 <= x <= MAX_EXP:
+            raise ExponentOverflowError(f"exponent {x} does not fit {FIELD - 1} bits")
+        key = key << FIELD | x
+    return key
+
+
+def _unpack(key, n):
+    return tuple([key >> s & MASK for s in range(0, FIELD * n, FIELD)])
+
+
+def _ones(n):
+    """The key of (1, ..., 1) in n variables."""
+    return ((1 << FIELD * n) - 1) // MASK
+
+
+def _fit(terms, n):
+    """terms, keyed in n variables, unless a field holds an exponent past
+    MAX_EXP (and below 2^FIELD), which sets its guard bit: then
+    ``ExponentOverflowError``."""
+    if reduce(or_, terms, 0) & _ones(n) << FIELD - 1:
+        raise ExponentOverflowError(f"an exponent is above {MAX_EXP}")
+    return terms
 
 
 class MultiPoly(kernels.TermElement):
@@ -32,7 +70,13 @@ class MultiPoly(kernels.TermElement):
         return nvars, nvars, None
 
     def _mul(self, a, b):
-        return kernels.mul_terms(a, b)
+        # an exponent sum past MAX_EXP sets its field's guard bit, no higher one
+        return _fit(kernels.mul_terms(a, b), self.nvars)
+
+    _key = staticmethod(_pack)
+
+    def _exps(self, key):
+        return _unpack(key, self.nvars)
 
     # -- constructors ------------------------------------------------------
 
@@ -44,8 +88,7 @@ class MultiPoly(kernels.TermElement):
     def variable(cls, j, nvars):
         if not 0 <= j < nvars:
             raise ValueError(f"variable index {j} out of range for {nvars} variables")
-        e = tuple(1 if i == j else 0 for i in range(nvars))
-        return cls._raw(nvars, {e: 1})
+        return cls._raw(nvars, {1 << FIELD * j: 1})
 
     def homogeneous_degree(self):
         """``TermElement.homogeneous_degree``, computed once per polynomial."""
@@ -57,12 +100,9 @@ class MultiPoly(kernels.TermElement):
 
     def per_variable_degrees(self):
         """Tuple of max exponents per variable (zeros for the zero poly)."""
-        out = [0] * self.nvars
-        for e in self.terms:
-            for j, x in enumerate(e):
-                if x > out[j]:
-                    out[j] = x
-        return tuple(out)
+        if not self.terms:
+            return (0,) * self.nvars
+        return tuple(map(max, zip(*map(self._exps, self.terms))))
 
     # -- the operators used by the verifiers --------------------------------
 
@@ -125,9 +165,9 @@ class MultiPoly(kernels.TermElement):
             # reading the exponents from position j on
             if j == len(reps):
                 return {unit: terms[0][1]}  # one term: the exponents are distinct
-            groups = {}
+            groups, shift = {}, FIELD * j
             for t in terms:
-                groups.setdefault(t[0][j], []).append(t)
+                groups.setdefault(t[0] >> shift & MASK, []).append(t)
             degs = sorted(groups, reverse=True)
             acc = horner(groups[degs[0]], j + 1)
             for hi, k in zip(degs, degs[1:]):
@@ -143,15 +183,16 @@ class MultiPoly(kernels.TermElement):
         """Divide each coefficient by the factorial of its exponent vector."""
         out = {}
         for e, c in self.terms.items():
-            f = _exps_factorial(e)
-            out[e] = canon(Fraction(c) / f) if f > 1 else c
+            f = _exps_factorial(self._exps(e))
+            q, r = divmod(c, f)
+            out[e] = Fraction(c, f) if r else q
         return MultiPoly._raw(self.nvars, out)
 
     def denormalize(self):
         """Inverse of normalize: multiply coefficients by exponent factorials."""
         return MultiPoly._raw(
-            self.nvars, {e: canon(c * _exps_factorial(e)) for e, c in self.terms.items()}
-        )
+            self.nvars,
+            {e: canon(c * _exps_factorial(self._exps(e))) for e, c in self.terms.items()})
 
     def box_reverse(self, eprime):
         """Mirror exponents inside the box [0, eprime]^nvars.
@@ -166,8 +207,11 @@ class MultiPoly(kernels.TermElement):
             raise ValueError(
                 f"box size {eprime} is below a per-variable degree {max(degs)}"
             )
-        out = {tuple(eprime - x for x in e): c for e, c in self.terms.items()}
-        return MultiPoly._raw(self.nvars, out)
+        # eprime in every field, so no field of a key borrows; a box past MASK
+        # mirrors every exponent past MAX_EXP, and so does MASK itself
+        top = min(eprime, MASK) * _ones(self.nvars)
+        return MultiPoly._raw(
+            self.nvars, _fit({top - e: c for e, c in self.terms.items()}, self.nvars))
 
     def hessian_of_partial(self, alpha):
         """Symmetric matrix M of the quadratic form d^alpha p = (1/2) x^T M x.
@@ -186,28 +230,31 @@ class MultiPoly(kernels.TermElement):
             raise DegreeMismatchError(
                 f"|alpha| = {sum(alpha)} but the polynomial has degree {d}"
             )
-        e, f = self.nvars, _exps_factorial(alpha)
+        e = self.nvars
+        if max(alpha, default=0) > MAX_EXP:  # every gamma too: none is stored
+            return ((0,) * e,) * e
+        f, base = _exps_factorial(alpha), _pack(alpha)
         mat = [[0] * e for _ in range(e)]
         for i in range(e):
             for j in range(i, e):
-                gamma = list(alpha)
-                gamma[i] += 1
-                gamma[j] += 1
-                c = self.terms.get(tuple(gamma))
+                # alpha_i + 2 past MAX_EXP sets a guard bit: a key never stored
+                c = self.terms.get(base + (1 << FIELD * i) + (1 << FIELD * j))
                 if c:  # gamma! = alpha! * (alpha_i + 1) * gamma_j
-                    mat[i][j] = mat[j][i] = canon(c * f * (alpha[i] + 1) * gamma[j])
+                    gamma_j = alpha[j] + 1 + (i == j)
+                    mat[i][j] = mat[j][i] = canon(c * f * (alpha[i] + 1) * gamma_j)
         return tuple(tuple(row) for row in mat)
 
     def is_symmetric(self):
-        """Exact symmetry test via all adjacent transpositions."""
-        for j in range(self.nvars - 1):
-            swapped = {}
-            for e, c in self.terms.items():
-                key = e[:j] + (e[j + 1], e[j]) + e[j + 2:]
-                swapped[key] = c
-            if swapped != self.terms:
-                return False
-        return True
+        """Exact symmetry test: p is fixed by swapping x_1 and x_2 and by
+        the cycle x_1 -> x_2 -> ... -> x_n -> x_1, which generate all
+        permutations of the variables."""
+        if self.nvars < 2:
+            return True
+        terms, top = self.terms, FIELD * (self.nvars - 1)
+        # moving a_1 - a_2 from field 1 to field 2 adds (a_1 - a_2) * (2^FIELD - 1)
+        swapped = {e + ((e & MASK) - (e >> FIELD & MASK)) * MASK: c for e, c in terms.items()}
+        cycled = {e >> FIELD | (e & MASK) << top: c for e, c in terms.items()}
+        return swapped == terms == cycled
 
 
 def evaluate_many(polys, point):
@@ -216,31 +263,23 @@ def evaluate_many(polys, point):
     With b the common denominator of the point, x = n / b for integers n, and
     a polynomial of degree D has the value sum of c_e * n^e * b^(D - |e|)
     over its terms, divided by b^D once: the sum runs over the integers when
-    the coefficients are integers.  The powers of n and of b are tabled once
-    for all the polynomials.
+    the coefficients are integers.
     """
     point = [parse_q(x) for x in point]
-    polys = list(polys)
+    b = common_denominator(point)
+    nums = [x.numerator * (b // x.denominator) for x in point]
+    out = []
     for p in polys:
         if len(point) != p.nvars:
             raise ValueError(f"point has length {len(point)}, expected {p.nvars}")
-    b = common_denominator(point)
-    nums = [x.numerator * (b // x.denominator) for x in point]
-    sums = [[sum(e) for e in p.terms] for p in polys]
-    top = max((max(s, default=0) for s in sums), default=0)
-    bpow = [b ** k for k in range(top + 1)]
-    npow = [[n ** k for k in range(top + 1)] for n in nums]
-    out = []
-    for p, degs in zip(polys, sums):
-        deg = max(degs, default=0)
-        total = 0
-        for (e, c), s in zip(p.terms.items(), degs):
-            v = c if s == deg else c * bpow[deg - s]
-            for row, x in zip(npow, e):
-                if x:
-                    v *= row[x]
-            total += v
-        out.append(canon(Fraction(total, bpow[deg])) if b > 1 else canon(total))
+        total = deg = 0  # total is b^deg times the sum of the terms so far
+        for key, c in p.terms.items():
+            e = _unpack(key, p.nvars)
+            v, s = c * prod(map(pow, nums, e)), sum(e)
+            if s > deg:
+                total, deg = total * b ** (s - deg), s
+            total += v * b ** (deg - s)
+        out.append(canon(Fraction(total, b ** deg)) if b > 1 else canon(total))
     return out
 
 
@@ -267,4 +306,4 @@ def elementary(i, e):
     if i < 0 or i > e:
         return MultiPoly.zero(e)
     supports = itertools.combinations(range(e), i)
-    return MultiPoly._raw(e, {tuple([int(j in s) for j in range(e)]): 1 for s in supports})
+    return MultiPoly._raw(e, {sum(1 << FIELD * j for j in s): 1 for s in supports})

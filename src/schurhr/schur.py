@@ -13,7 +13,7 @@ along (1, ..., 1), s_lam^(i) = D s_lam^(i-1) / i, an exact integer division.
 The same slices written in the elementary symmetric polynomials e_1, ..., e_e
 come from the same operator, which acts there by D e_k = (e - k + 1) e_(k-1).
 One step, ``_taylor_step``, applies D in either basis from its images on
-the generators.
+the generators, over the packed keys of ``polyring`` in both.
 """
 
 import functools
@@ -21,16 +21,16 @@ import threading
 from math import comb
 
 from . import kernels
-from .errors import PreconditionError
+from .errors import ExponentOverflowError, PreconditionError
 from .partitions import Partition, dual_in_box, ssyt_weight_counts
-from .polyring import MultiPoly, elementary, variable_count
+from .polyring import (FIELD, MASK, MAX_EXP, MultiPoly, _unpack, elementary,
+                       variable_count)
 from .rationals import fmt_terms
 
 _cache_lock = threading.Lock()
 _jt_cache = {}
 _derived_cache = {}
 _derived_chern_cache = {}
-_derived_chern_keys = {}
 
 
 def clear_caches():
@@ -38,7 +38,6 @@ def clear_caches():
         _jt_cache.clear()
         _derived_cache.clear()
         _derived_chern_cache.clear()
-        _derived_chern_keys.clear()
 
 
 def _cached(cache):
@@ -54,6 +53,10 @@ def _cached(cache):
             with _cache_lock:
                 hit = cache.get(key)
             if hit is None:
+                # no exponent of a minor or a slice exceeds the row count:
+                # a Taylor step never adds a factor to a monomial
+                if lam.length > MAX_EXP:
+                    raise ExponentOverflowError(f"{lam.length} rows: exponents past {MAX_EXP}")
                 hit = f(lam, e)
                 with _cache_lock:
                     cache[key] = hit
@@ -92,7 +95,7 @@ def derived_all(lam, e):
     the one before divided by i.  The coefficients stay integers:
     s_lam(x + t) has integer coefficients.
     """
-    images = [(1, None)] * e
+    images = [(1, -(1 << FIELD * j)) for j in range(e)]
     slices = [schur_jt(lam, e)]
     for i in range(1, lam.weight + 1):
         slices.append(MultiPoly._raw(e, _taylor_step(slices[-1].terms, i, images)))
@@ -101,21 +104,21 @@ def derived_all(lam, e):
 
 def _taylor_step(terms, i, images):
     """D(terms) / i for integer coefficients, D the derivation given by its
-    images on the generators: images[j] = (d, k) sends generator j to d times
-    generator k, or to the constant d when k is None.
+    images on the generators: images[j] = (d, move) sends generator j to d
+    times the monomial whose key is its own plus move (generator k, at
+    unit_k - unit_j, or the constant, at -unit_j; unit_j = 1 << FIELD*j).
 
     Raises ArithmeticError if a coefficient of D(terms) is not a multiple of
     i: the shift expansion of an integer polynomial never does that.
     """
     out = {}
     get = out.get
+    fields = [(FIELD * j, d, move) for j, (d, move) in enumerate(images)]
     for exps, c in terms.items():
-        for j, a in enumerate(exps):
+        for shift, d, move in fields:
+            a = exps >> shift & MASK
             if a:
-                d, k = images[j]
-                key = exps[:j] + (a - 1,) + exps[j + 1:]
-                if k is not None:
-                    key = key[:k] + (key[k] + 1,) + key[k + 1:]
+                key = exps + move
                 out[key] = get(key, 0) + c * a * d
     result = {}
     for key, v in out.items():
@@ -132,35 +135,28 @@ def derived_chern(lam, e):
     """The slices s_lam^(0), ..., s_lam^(|lam|) in e_1, ..., e_e.
 
     Each slice is a term dict keyed by the exponents (a_1, ..., a_e) of
-    e_1^a_1 * ... * e_e^a_e.  Slice 0 is the Jacobi-Trudi determinant over
-    single-monomial entries; slice i is D(slice i-1) / i, where D is the
-    same derivation written in the e-basis: D e_1 = e and
-    D e_(j+1) = (e - j) e_j.  Substituting e_k = elementary(k, e) gives
-    ``derived_all(lam, e)``.
+    e_1^a_1 * ... * e_e^a_e, packed as ``polyring`` packs x_1, ..., x_e.
+    Slice 0 is the Jacobi-Trudi determinant over single-monomial entries;
+    slice i is D(slice i-1) / i, where D is the same derivation written in
+    the e-basis: D e_1 = e and D e_(j+1) = (e - j) e_j.  Substituting
+    e_k = elementary(k, e) gives ``derived_all(lam, e)``.
     """
     parts = lam.normalized
     n = len(parts)
-    unit = (0,) * e
 
     def entry(k):
-        if k == 0:
-            return {unit: 1}
-        if 0 < k <= e:
-            return {unit[:k - 1] + (1,) + unit[k:]: 1}
-        return {}
+        return {1 << FIELD * (k - 1) if k else 0: 1} if 0 <= k <= e else {}
 
     if n == 0:
-        slices = [{unit: 1}]
+        slices = [{0: 1}]
     else:
         rows = [[entry(parts[r] - r + s) for s in range(n)] for r in range(n)]
         slices = [kernels.det_terms(rows, kernels.mul_terms)]
-    images = [(e - j, j - 1 if j else None) for j in range(e)]
+    # D e_1 = e (the constant), D e_(j+1) = (e - j) e_j
+    images = [(e - j, (1 << FIELD * j >> FIELD) - (1 << FIELD * j)) for j in range(e)]
     for i in range(1, lam.weight + 1):
         slices.append(_taylor_step(slices[-1], i, images))
-    with _cache_lock:
-        # shapes share their few exponent tuples; the cache keeps one of each
-        keep = _derived_chern_keys.setdefault
-        return tuple({keep(k, k): c for k, c in s.items()} for s in slices)
+    return tuple(slices)
 
 
 def derived_schur(lam, i, e):
@@ -241,10 +237,12 @@ def elementary_row_check(p, e):
     return ok
 
 
-def format_elementary(basis_terms):
+def format_elementary(basis_terms, e):
     """Human-readable rendering of a term dict in c_1, ..., c_e, such as a
-    slice of ``derived_chern``."""
+    slice of ``derived_chern(lam, e)``."""
+    terms = [(_unpack(key, e), c) for key, c in basis_terms.items()]
+
     def weighted(kv):
         return (sum((i + 1) * x for i, x in enumerate(kv[0])), kv[0])
 
-    return fmt_terms(sorted(basis_terms.items(), key=weighted, reverse=True), "c")
+    return fmt_terms(sorted(terms, key=weighted, reverse=True), "c")

@@ -1,7 +1,9 @@
 """Import schurhr from this checkout's src/, here and in the `python -m
 schurhr` subprocesses that some tests start, so `python -m pytest` works
 without installing the package or setting PYTHONPATH.  Also the fixtures
-that several test files share."""
+that several test files share, and the ``ci`` Hypothesis profile
+(``--hypothesis-profile=ci``): 500 examples for each property test that does
+not set its own count."""
 
 import dataclasses
 import os
@@ -9,6 +11,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("ci", max_examples=500)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 sys.path.insert(0, SRC)

@@ -25,7 +25,7 @@ def _oracle_witness(p, eps):
     q = p.denormalize().box_reverse(box)
     s = sum((MultiPoly.variable(j, e) for j in range(e)), MultiPoly.zero(e))
     q_eps = q.substitute([MultiPoly.variable(j, e) + eps * s for j in range(e)])
-    kept = {mu: c for mu, c in q_eps.terms.items() if max(mu) <= box}
+    kept = {mu: c for mu, c in q_eps.exps_terms().items() if max(mu) <= box}
     return MultiPoly(e, kept).box_reverse(box).normalize()
 
 
