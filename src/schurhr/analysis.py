@@ -14,13 +14,14 @@ from math import comb, factorial
 from .bundles import (SplitBundle, _integral_roots, chern_all, class_is_nef,
                       derived_schur_class, derived_schur_classes, schur_class)
 from .cohomology import CohClass, Space
-from .errors import DegreeMismatchError, PreconditionError
+from .errors import DegreeMismatchError, ExponentOverflowError, PreconditionError
+from .kernels import add_scaled, mul_terms_capped
 from .partitions import Partition, dual_in_box
-from .polyring import MultiPoly, _pack, evaluate_many
+from .polyring import FIELD, MAX_EXP, MultiPoly, _ones, evaluate_many
 from .quadforms import inertia, intersection_form
 from .rationals import canon, common_denominator, fmt_q, parse_q
 from .realroots import has_only_real_roots
-from .schur import derived_chern, schur_jt
+from .schur import _taylor_slices, derived_chern, schur_jt
 
 # ---------------------------------------------------------------------------
 # sequences
@@ -593,36 +594,39 @@ def _strict_report(p, mode, epsilon):
 
 
 def _epsilon_shift(q, epsilon, box):
-    """(s, m): s = m * q(x + epsilon * (x_1 + ... + x_e)) without its terms
-    outside [0, box]^e, with integer coefficients, and m a positive int.
+    """(s, m): s = m * q(x + epsilon * S), S = x_1 + ... + x_e, without its
+    terms outside [0, box]^e (q is inside), s integral and m a positive int.
 
-    With epsilon = a/b, q homogeneous of degree D and c the lcm of the
-    denominators of q's coefficients,
+    With epsilon = a/b, q of degree d, c the lcm of its denominators and
+    Q_k = D^k(c * q) / k! (``schur._taylor_slices``), m = c * b^d and
 
-        c * b^D * q(x + epsilon * sum(x)) = (c * q)(b * x + a * sum(x)),
+        m * q(x + epsilon * S) = (c * q)(b * x + a * S) = sum_k (a*S)^k * b^(d-k) * Q_k,
 
-    so the substitution runs on integers only, and m = c * b^D.
+    summed over the integers by Horner in a*S, each step a capped multiply
+    (exponents only rise: what leaves the box stays out); a box past MAX_EXP
+    raises.
     """
     a, b = epsilon.numerator, epsilon.denominator
-    e = q.nvars
+    e, d = q.nvars, q.homogeneous_degree()
     c = common_denominator(q.terms.values())
-    # the truncated ring of (P^box)^e is Q[x] / (x_j^(box + 1)): the capped
-    # multiply never forms a monomial outside the box
-    ring = Space([box] * e)
-    repl = [CohClass.linear(ring, [a + b if i == j else a for i in range(e)])
-            for j in range(e)]
-    shifted = q.scale(c).substitute(repl)
-    s = {_pack(mu): v for mu, v in shifted.exps_terms().items()}
-    return MultiPoly._raw(e, s), c * b ** q.homogeneous_degree()
+    slices = _taylor_slices(q.scale(c).terms, e, d)
+    step = {1 << FIELD * j: a for j in range(e)} if a else {}  # never 0 * x_j
+    if step and d > 0 and box > MAX_EXP:
+        raise ExponentOverflowError(f"box {box} is past {MAX_EXP}")
+    ones, acc = _ones(e), slices[d]
+    cap = (MAX_EXP - box) * ones, ones << FIELD - 1  # past the box: a top bit
+    for k in range(d - 1, -1, -1):
+        acc = mul_terms_capped(acc, step, *cap)
+        add_scaled(acc, slices[k], b ** (d - k))
+    return MultiPoly._raw(e, acc), c * b ** d
 
 
 def lorentzian_witness(p, epsilon):
     """Strictly-Lorentzian candidate converging to p as epsilon -> 0.
 
     Un-normalize, mirror in the box of side max(vars, degree), shift every
-    variable by epsilon times the variable sum in the ring truncated to the
-    box (the shift piles exponents above it; those coefficients never enter
-    the quadratic slices), mirror back and normalize.  The shift runs over the
+    variable by epsilon times the variable sum, dropping the terms outside
+    the box (they never enter the quadratic slices), mirror back, normalize.  The shift runs over the
     integers (``_epsilon_shift`` says how), and so does the normalization of
     its mirror times d!, as mu! divides d!; one division by d! * m ends it.
     """

@@ -171,8 +171,8 @@ def evaluate_terms(polys, classes):
     walked depth first, so only the monomials on one path are held at once.
     ``bundles._slices_at`` uses this, not ``MultiPoly.substitute``, as its
     slices share monomials: one Horner substitution per slice made the
-    ``geometry`` benchmark (seed 7) 1.7-2 times as slow (wall_s 0.39-0.50 s,
-    not 0.23-0.31 s, in 3 paired runs on 2 cores, Python 3.11).
+    ``geometry`` benchmark (seed 7) 1.7-2 times as slow (3 paired runs on 2
+    cores, Python 3.11).
     """
     classes = list(classes)
     if not classes:

@@ -5,7 +5,7 @@ Terms are dicts mapping monomials to nonzero exact coefficients (int or
 Fraction).  A monomial is a packed int, its exponents in bit fields, so
 multiplying two monomials is adding their keys: ``polyring`` lays out one
 fixed-width field per variable for ``mul_terms`` and checks its guard bits,
-and ``cohomology.Space`` lays out the capped fields of ``mul_terms_capped``.
+and ``mul_terms_capped`` caps fields of ``cohomology.Space`` or ``polyring``.
 The three multiply and accumulate functions are the hot inner loops of the
 whole package.
 """
@@ -43,7 +43,7 @@ def mul_terms(a, b):
 
 def mul_terms_capped(a, b, bias, guard):
     """Product of two term dicts keyed by packed exponents, without the
-    monomials past a cap: the ``bias`` and ``guard`` of ``cohomology.Space``."""
+    monomials past a cap, where a key plus ``bias`` sets a ``guard`` bit."""
     if len(a) > len(b):
         a, b = b, a
     out = {}

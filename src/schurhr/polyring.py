@@ -129,11 +129,8 @@ class MultiPoly(kernels.TermElement):
         A power r_j^k is k multiplies by r_j, unless the accumulator is one
         constant c (an innermost group of a homogeneous p): c·r_j^k is then
         read off this call's table of the powers of r_j, each entry the one
-        before times r_j.  That took the ``symbolic`` benchmark from 2,664
-        capped multiplies to 868, and its 18 witnesses from 56 to 38 ms (2
-        cores, Python 3.11).
-        ``analysis._epsilon_shift`` uses this, not ``cohomology.evaluate_terms``,
-        as it has one polynomial, where a monomial tree shares nothing.
+        before times r_j.  ``schur.schur_jt`` puts the elementary symmetric
+        polynomials into its determinant in c_1, ..., c_e this way.
         """
         replacements = list(replacements)
         if len(replacements) != self.nvars:

@@ -1,10 +1,10 @@
 """Schur polynomials in the elementary-symmetric determinant convention.
 
 Two independent routes are provided: the determinant of the matrix with
-entries c_{lam_r - r + s} (c_i = i-th elementary symmetric polynomial), and
-the monomial expansion whose coefficient at x^alpha counts semistandard
-tableaux of the conjugate shape.  In this convention s_lam in e variables
-vanishes exactly when lam_1 > e.
+entries c_{lam_r - r + s} (c_i = i-th elementary symmetric polynomial), in
+the c_i and then substituted, and the monomial expansion whose coefficient
+at x^alpha counts semistandard tableaux of the conjugate shape.  In this
+convention s_lam in e variables vanishes exactly when lam_1 > e.
 
 Shift expansions: s_lam(x_1 + t, ..., x_e + t) = sum_i s_lam^(i)(x) t^i
 defines the derived polynomials s_lam^(i), homogeneous of degree |lam| - i.
@@ -12,8 +12,9 @@ They are computed from the operator D = sum_j d/dx_j: by Taylor's formula
 along (1, ..., 1), s_lam^(i) = D s_lam^(i-1) / i, an exact integer division.
 The same slices written in the elementary symmetric polynomials e_1, ..., e_e
 come from the same operator, which acts there by D e_k = (e - k + 1) e_(k-1).
-One step, ``_taylor_step``, applies D in either basis from its images on
-the generators, over the packed keys of ``polyring`` in both.
+One expansion, ``_taylor_slices``, applies D in either basis from its images
+on the generators, over the packed keys of ``polyring``; so does
+``analysis._epsilon_shift``.
 """
 
 import functools
@@ -69,13 +70,24 @@ def _cached(cache):
 
 @_cached(_jt_cache)
 def schur_jt(lam, e):
-    """Schur polynomial via the elementary-symmetric determinant."""
-    parts = lam.normalized
+    """Schur polynomial via the elementary-symmetric determinant in c_k
+    (``_jt_elementary``) at c_k = elementary(k, e)."""
+    basis = MultiPoly._raw(e, _jt_elementary(lam.normalized, e))
+    return basis.substitute([elementary(k, e) for k in range(1, e + 1)])
+
+
+def _jt_elementary(parts, e):
+    """The Jacobi-Trudi determinant over the c_k, each c_k keyed as
+    ``polyring`` keys x_k."""
     n = len(parts)
+
+    def entry(k):
+        return {1 << FIELD * (k - 1) if k else 0: 1} if 0 <= k <= e else {}
+
     if n == 0:
-        return MultiPoly.one(e)
-    rows = [[elementary(parts[r] - r + s, e).terms for s in range(n)] for r in range(n)]
-    return MultiPoly._raw(e, kernels.det_terms(rows, kernels.mul_terms))
+        return {0: 1}
+    rows = [[entry(parts[r] - r + s) for s in range(n)] for r in range(n)]
+    return kernels.det_terms(rows, kernels.mul_terms)
 
 
 def schur_ssyt(lam, e):
@@ -88,18 +100,21 @@ def schur_ssyt(lam, e):
 
 @_cached(_derived_cache)
 def derived_all(lam, e):
-    """All shift-expansion coefficients (s_lam^(0), ..., s_lam^(|lam|)).
+    """All shift-expansion coefficients (s_lam^(0), ..., s_lam^(|lam|)): the
+    Taylor slices D^i s_lam / i!, integral as s_lam(x + t) is."""
+    slices = _taylor_slices(schur_jt(lam, e).terms, e, lam.weight)
+    return tuple(MultiPoly._raw(e, t) for t in slices)
 
-    Taylor's formula along (1, ..., 1) gives s_lam^(i) = D^i s_lam / i! with
-    D = sum_j d/dx_j, the derivation with D x_j = 1, so each slice is D of
-    the one before divided by i.  The coefficients stay integers:
-    s_lam(x + t) has integer coefficients.
-    """
-    images = [(1, -(1 << FIELD * j)) for j in range(e)]
-    slices = [schur_jt(lam, e)]
-    for i in range(1, lam.weight + 1):
-        slices.append(MultiPoly._raw(e, _taylor_step(slices[-1].terms, i, images)))
-    return tuple(slices)
+
+def _taylor_slices(terms, e, top, images=None):
+    """[D^i terms / i! for i in 0..top], the Taylor slices along (1, ..., 1)
+    of integer terms in e variables, D = sum_j d/dx_j unless ``images``
+    (``_taylor_step``) give another derivation."""
+    images = images or [(1, -(1 << FIELD * j)) for j in range(e)]
+    slices = [terms]
+    for i in range(1, top + 1):
+        slices.append(_taylor_step(slices[-1], i, images))
+    return slices
 
 
 def _taylor_step(terms, i, images):
@@ -134,29 +149,12 @@ def _taylor_step(terms, i, images):
 def derived_chern(lam, e):
     """The slices s_lam^(0), ..., s_lam^(|lam|) in e_1, ..., e_e.
 
-    Each slice is a term dict keyed by the exponents (a_1, ..., a_e) of
-    e_1^a_1 * ... * e_e^a_e, packed as ``polyring`` packs x_1, ..., x_e.
-    Slice 0 is the Jacobi-Trudi determinant over single-monomial entries;
-    slice i is D(slice i-1) / i, where D is the same derivation written in
+    Slice 0 is ``_jt_elementary``, and slice i is D(slice i-1) / i, D in
     the e-basis: D e_1 = e and D e_(j+1) = (e - j) e_j.  Substituting
-    e_k = elementary(k, e) gives ``derived_all(lam, e)``.
+    e_k = elementary(k, e) gives ``derived_all``.
     """
-    parts = lam.normalized
-    n = len(parts)
-
-    def entry(k):
-        return {1 << FIELD * (k - 1) if k else 0: 1} if 0 <= k <= e else {}
-
-    if n == 0:
-        slices = [{0: 1}]
-    else:
-        rows = [[entry(parts[r] - r + s) for s in range(n)] for r in range(n)]
-        slices = [kernels.det_terms(rows, kernels.mul_terms)]
-    # D e_1 = e (the constant), D e_(j+1) = (e - j) e_j
     images = [(e - j, (1 << FIELD * j >> FIELD) - (1 << FIELD * j)) for j in range(e)]
-    for i in range(1, lam.weight + 1):
-        slices.append(_taylor_step(slices[-1], i, images))
-    return tuple(slices)
+    return tuple(_taylor_slices(_jt_elementary(lam.normalized, e), e, lam.weight, images))
 
 
 def derived_schur(lam, i, e):

@@ -1,5 +1,6 @@
 """Lorentzian certification and the coefficient-extraction identities."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,13 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurhr import acceptance
-from schurhr.analysis import (hessian_vs_intersection, lemma_bridge_check,
-                              lorentzian_certify, lorentzian_check,
-                              lorentzian_witness)
-from schurhr.errors import DegreeMismatchError, PreconditionError
+from schurhr import acceptance, analysis
+from schurhr.analysis import (_epsilon_shift, hessian_vs_intersection,
+                              lemma_bridge_check, lorentzian_certify,
+                              lorentzian_check, lorentzian_witness)
+from schurhr.cohomology import CohClass, Space
+from schurhr.errors import DegreeMismatchError, ExponentOverflowError, PreconditionError
 from schurhr.partitions import partitions_of
 from schurhr.polyring import MultiPoly
+from schurhr.rationals import common_denominator
 from schurhr.schur import schur_jt
 
 
@@ -110,20 +113,91 @@ def test_failing_witness_matches_the_rational_route(p, bad):
 
 
 def test_epsilon_shift_substitutes_integers_only(monkeypatch):
+    # the shift's route: the Taylor slices of c * q, then Horner in a * S by
+    # the capped multiply and add_scaled bound in analysis
     seen = []
-    original = MultiPoly.substitute
+    taylor, mul, add = analysis._taylor_slices, analysis.mul_terms_capped, analysis.add_scaled
 
-    def spy(self, replacements):
-        replacements = list(replacements)
-        seen.extend(c for poly in (self, *replacements) for c in poly.terms.values())
-        return original(self, replacements)
+    def spy_taylor(terms, *args):
+        seen.extend(terms.values())
+        return taylor(terms, *args)
+
+    def spy_mul(a, b, *args):
+        seen.extend([*a.values(), *b.values()])
+        return mul(a, b, *args)
+
+    def spy_add(acc, terms, coeff=1):
+        seen.extend([*acc.values(), *terms.values(), coeff])
+        return add(acc, terms, coeff)
 
     p = MultiPoly(2, {(2, 0): Fraction(1, 3), (1, 1): Fraction(-1, 2), (0, 2): 1})
     want = _oracle_witness(p, Fraction(7, 997))
-    monkeypatch.setattr(MultiPoly, "substitute", spy)
+    monkeypatch.setattr(analysis, "_taylor_slices", spy_taylor)
+    monkeypatch.setattr(analysis, "mul_terms_capped", spy_mul)
+    monkeypatch.setattr(analysis, "add_scaled", spy_add)
     assert lorentzian_witness(p, Fraction(7, 997)) == want
     assert hessian_vs_intersection((2, 1), 2, 3, (1, 0), Fraction(7, 997))
     assert seen and all(type(c) is int for c in seen)
+
+
+def _oracle_shift(q, eps, box):
+    """The shift through the truncated ring of (P^box)^e, Q[x] / (x_j^(box + 1)):
+    c * q at the linear classes b * x_j + a * (x_1 + ... + x_e), re-keyed as
+    a polynomial, and m = c * b^D."""
+    a, b = eps.numerator, eps.denominator
+    e, c = q.nvars, common_denominator(q.terms.values())
+    ring = Space([box] * e)
+    repl = [CohClass.linear(ring, [a + b if i == j else a for i in range(e)])
+            for j in range(e)]
+    shifted = q.scale(c).substitute(repl)
+    return MultiPoly(e, shifted.exps_terms()), c * b ** q.homogeneous_degree()
+
+
+@st.composite
+def shift_cases(draw):
+    q = draw(signed_homogeneous())
+    box = max(q.per_variable_degrees()) + draw(st.integers(0, 3))
+    eps = draw(st.one_of(st.just(Fraction(0)),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=40)))
+    return q, eps, box
+
+
+@settings(deadline=None)
+@given(shift_cases())
+def test_epsilon_shift_matches_the_truncated_ring_route(case):
+    q, eps, box = case
+    s, m = _epsilon_shift(q, eps, box)
+    assert (s, m) == _oracle_shift(q, eps, box)
+    assert all(type(c) is int and c for c in s.terms.values())
+
+
+def test_a_zero_epsilon_shift_stores_no_zero(monkeypatch):
+    steps = []
+    mul = analysis.mul_terms_capped
+
+    def spy(a, b, *cap):
+        steps.append(b)
+        return mul(a, b, *cap)
+
+    monkeypatch.setattr(analysis, "mul_terms_capped", spy)
+    q = MultiPoly(2, {(3, 1): Fraction(1, 2), (2, 2): -1, (0, 4): 3})
+    s, m = _epsilon_shift(q, Fraction(0), 4)
+    assert (s, m) == (q.scale(2), 2)
+    assert all(s.terms.values())
+    # 0 * S is the empty dict, never x_j with coefficient 0
+    assert steps and steps == [{}] * len(steps)
+
+
+def test_a_box_past_the_key_fields_raises_unless_epsilon_is_zero():
+    # degree 130: the box of side 130 has exponents no key field holds
+    p = MultiPoly(2, {(65, 65): 1})
+    for eps in (Fraction(1, 100), Fraction(-1, 100)):
+        with pytest.raises(ExponentOverflowError):
+            lorentzian_check(p, "perturbed", eps)
+    rep = lorentzian_check(p, "perturbed", 0)
+    strict = lorentzian_check(p, "strict")
+    assert rep == dataclasses.replace(strict, mode="perturbed", epsilon=0)
+    assert not rep.ok and rep.nonpositive_coefficients[:2] == ((0, 130), (1, 129))
 
 
 def test_certify_retries_once_at_a_tenth_of_epsilon():

@@ -1,5 +1,6 @@
 """Schur polynomials: determinant route, tableau route, shift expansions."""
 
+import functools
 import random
 import threading
 from fractions import Fraction
@@ -31,6 +32,33 @@ def test_jt_vanishes_iff_first_part_exceeds_vars():
 
 def test_jt_stable_under_trailing_zeros():
     assert schur_jt((2, 1), 2) == schur_jt((2, 1, 0, 0), 2)
+
+
+def _jt_by_laplace(parts, e):
+    """det(elementary(lam_r - r + s, e)) over MultiPoly entries, expanded
+    along the first remaining row; minors are memoised on their columns."""
+    n = len(parts)
+
+    @functools.lru_cache(maxsize=None)
+    def det(cols):
+        r = n - len(cols)
+        if r == n:
+            return MultiPoly.one(e)
+        total = MultiPoly.zero(e)
+        for pos, s in enumerate(cols):
+            entry = elementary(parts[r] - r + s, e)
+            if not entry.is_zero:
+                total = total + (-1) ** pos * entry * det(cols[:pos] + cols[pos + 1:])
+        return total
+
+    return det(tuple(range(n)))
+
+
+@pytest.mark.parametrize("e", range(5))
+def test_jt_is_the_determinant_over_elementary_entries(e):
+    # every shape of weight <= 8: the empty one, and many with lam_1 > e
+    for lam in partitions_up_to(8):
+        assert schur_jt(lam, e) == _jt_by_laplace(lam.parts, e), (lam, e)
 
 
 def test_ssyt_route_examples():
