@@ -654,16 +654,6 @@ def lorentzian_check(p, mode="strict", epsilon=Fraction(1, 100)):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def lorentzian_certify(p, epsilon):
-    """Perturbed certification at epsilon, tried once more at epsilon / 10
-    when it fails; returns the report and whether the retry ran."""
-    epsilon = parse_q(epsilon)
-    rep = lorentzian_check(p, "perturbed", epsilon)
-    if rep.ok:
-        return rep, False
-    return lorentzian_check(p, "perturbed", Fraction(epsilon, 10)), True
-
-
 # ---------------------------------------------------------------------------
 # the coefficient-extraction bridge
 

@@ -360,10 +360,16 @@ def _cmd_polya(args, cfg):
 def _cmd_lorentzian(args, cfg):
     p = _load_poly(args)
     epsilon = parse_q(args.epsilon)
-    if args.mode == "perturbed":
-        rep, retried = analysis.lorentzian_certify(p, epsilon)
-    else:
-        rep, retried = analysis.lorentzian_check(p, "strict"), False
+    retried = False
+    if args.mode == "strict":
+        rep = analysis.lorentzian_check(p, "strict")
+    elif epsilon <= 0:  # no perturbation: at 0 the witness is p itself
+        raise CliError(f"--epsilon must be positive in perturbed mode, got {args.epsilon}")
+    else:  # a failure is tried once more at epsilon / 10
+        rep = analysis.lorentzian_check(p, "perturbed", epsilon)
+        if not rep.ok:
+            rep = analysis.lorentzian_check(p, "perturbed", Fraction(epsilon, 10))
+            retried = True
     payload = rep.to_json()
     payload["retried_at_epsilon_over_10"] = retried
     _emit(payload, args)

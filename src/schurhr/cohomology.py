@@ -21,6 +21,9 @@ class Space:
     It lays out the packed keys: factor j gets n_j.bit_length() + 1 bits at
     ``shifts[j]``, from the low bits up, room for a sum of two exponents in
     the cap.  Adding ``bias`` to a sum sets a ``guard`` bit where it exceeds n_j.
+    The fields are not ``polyring``'s fixed 8 bits: on those the ``geometry``
+    benchmark ran slower (wall_s 0.2085 to 0.2256 s, lower in 0 of 10 paired
+    runs on 2 cores, Python 3.11).
     """
 
     __slots__ = ("factors", "shifts", "bias", "guard", "top")

@@ -11,6 +11,7 @@ from schurhr import acceptance, analysis, cli, quadforms
 from schurhr.errors import DegreeMismatchError
 from schurhr.partitions import partitions_up_to
 from schurhr.polyring import MultiPoly, elementary
+from schurhr.schur import schur_jt
 
 CLI = [sys.executable, "-m", "schurhr"]
 
@@ -266,12 +267,41 @@ def test_lorentzian_reports_whether_it_retried(capsys, fail_first_lorentzian_che
     assert payload["retried_at_epsilon_over_10"] is False
 
 
-def test_lorentzian_retries_at_epsilon_zero(capsys):
-    argv = ["lorentzian", "--lambda", "2,1", "--vars", "3", "--epsilon", "0"]
-    assert cli.main(argv) == cli.CHECK_VIOLATION
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"] is False and payload["epsilon"] == "0"
-    assert payload["retried_at_epsilon_over_10"] is True
+def test_lorentzian_retries_once_at_a_tenth_of_epsilon(capsys, tmp_path, monkeypatch):
+    # a pass at epsilon is the report of that one check, with no retry
+    argv = ["lorentzian", "--lambda", "2,1", "--vars", "2", "--epsilon", "1/100"]
+    assert cli.main(argv) == 0
+    first = analysis.lorentzian_check(schur_jt((2, 1), 2).normalize(), "perturbed",
+                                      Fraction(1, 100))
+    assert first.ok
+    assert json.loads(capsys.readouterr().out) == {
+        **first.to_json(), "retried_at_epsilon_over_10": False}
+    # x1^2 - x1*x2 + x2^2 has a negative coefficient and a definite Hessian,
+    # so it fails at epsilon and once more at epsilon / 10, and no third time
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(MultiPoly(2, {(2, 0): 1, (1, 1): -1, (0, 2): 1}).to_json()))
+    real, tried = analysis.lorentzian_check, []
+    monkeypatch.setattr(analysis, "lorentzian_check",
+                        lambda p, mode, eps: tried.append(eps) or real(p, mode, eps))
+    argv = ["lorentzian", "--poly-file", str(path), "--vars", "2", "--epsilon", "1/100"]
+    for flags, code in (([], 0), (["--expect-pass"], cli.CHECK_VIOLATION)):
+        assert cli.main(argv + flags) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False and payload["epsilon"] == "1/1000"
+        assert payload["retried_at_epsilon_over_10"] is True
+    assert tried == [Fraction(1, 100), Fraction(1, 1000)] * 2
+
+
+def test_lorentzian_rejects_a_nonpositive_epsilon():
+    # epsilon <= 0 is no perturbation: a usage error, not a failed check
+    for eps in ("0", "-1/100"):
+        r = run("lorentzian", "--lambda", "2,1", "--vars", "3", "--epsilon", eps)
+        assert r.returncode == cli.USAGE_ERROR and r.stdout == ""
+        assert r.stderr == f"error: --epsilon must be positive in perturbed mode, got {eps}\n"
+        # strict mode tests p itself and reads no epsilon
+        r = run("lorentzian", "--lambda", "2,1", "--vars", "3", "--epsilon", eps,
+                "--mode", "strict")
+        assert r.returncode == 0 and json.loads(r.stdout)["epsilon"] is None
 
 
 def test_lorentzian_of_a_zero_polynomial_is_a_usage_error():

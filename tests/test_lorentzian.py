@@ -2,16 +2,17 @@
 
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schurhr import acceptance, analysis
+from schurhr import acceptance, analysis, cli
 from schurhr.analysis import (_epsilon_shift, hessian_vs_intersection,
-                              lemma_bridge_check, lorentzian_certify,
-                              lorentzian_check, lorentzian_witness)
+                              lemma_bridge_check, lorentzian_check,
+                              lorentzian_witness)
 from schurhr.cohomology import CohClass, Space
 from schurhr.errors import DegreeMismatchError, ExponentOverflowError, PreconditionError
 from schurhr.partitions import partitions_of
@@ -200,19 +201,15 @@ def test_a_box_past_the_key_fields_raises_unless_epsilon_is_zero():
     assert not rep.ok and rep.nonpositive_coefficients[:2] == ((0, 130), (1, 129))
 
 
-def test_certify_retries_once_at_a_tenth_of_epsilon():
-    p = schur_jt((2, 1), 2).normalize()
-    first = lorentzian_check(p, "perturbed", Fraction(1, 100))
-    assert first.ok and lorentzian_certify(p, Fraction(1, 100)) == (first, False)
-    # p itself is not strictly Lorentzian, so epsilon = 0 fails twice
-    rep, retried = lorentzian_certify(p, 0)
-    assert retried and not rep.ok and rep.epsilon == 0
-
-
-def test_certify_passes_on_the_retry(fail_first_lorentzian_check):
-    p = schur_jt((2, 1), 2).normalize()
-    rep, retried = lorentzian_certify(p, Fraction(1, 100))
-    assert retried and rep.ok and rep.epsilon == Fraction(1, 1000)
+def test_certify_passes_on_the_retry(capsys, fail_first_lorentzian_check):
+    # the perturbed certification runs from the command line: a failure at
+    # epsilon is tried once more at epsilon / 10, and that report is the result
+    argv = ["lorentzian", "--lambda", "2,1", "--vars", "2", "--epsilon", "1/100",
+            "--expect-pass"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True and payload["epsilon"] == "1/1000"
+    assert payload["retried_at_epsilon_over_10"] is True
     assert fail_first_lorentzian_check == [Fraction(1, 100), Fraction(1, 1000)]
 
 

@@ -1,6 +1,5 @@
 """Exact polynomial arithmetic and the box/normalization operators."""
 
-import gc
 import itertools
 from fractions import Fraction
 
@@ -92,7 +91,8 @@ def _substitutions(draw):
 half = Fraction(1, 2)
 
 
-@settings(max_examples=300, deadline=None)
+# 300 examples, or the profile's count where that is larger (500 under ``ci``)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(_substitutions())
 @example((MultiPoly.zero(2), [x(0) * x(1), x(1)]))
 @example((MultiPoly.constant(half, 2), [x(0) * x(1), x(1)]))
@@ -126,38 +126,14 @@ def test_substitute_multiplies_only_by_one_replacement(monkeypatch):
     want = _naive_substitute(p, reps)
     products = _spy_products(monkeypatch, CohClass)
     assert p.substitute(reps) == want
-    # r_2^2 at x1^3 (the one multiply that tables r_2^2), times r_1^2, + r_2^2
-    # (read off the table), times r_1, + (-2 r_2 + 5) (r_2 read off the table):
-    # 1 + 2 + 1 multiplies
-    assert len(products) == 4
-    assert all(any(b is r.terms for r in reps) for _, b in products)
-
-
-@pytest.mark.parametrize("ring", ["poly", "class"])
-def test_substitute_innermost_groups_of_a_homogeneous_polynomial_cost_no_product(
-        monkeypatch, ring):
-    # degree 4 in 3 variables: every innermost group is one term c * x_3^k,
-    # and k takes each value 0..3 more than once (4 once)
-    p = schur_jt((1, 1, 1, 1), 3)  # all 15 monomials of degree 4
-    if ring == "poly":
-        reps = [x(0, 3) + x(1, 3), 2 * x(1, 3) - x(2, 3), x(0, 3) + 3 * x(2, 3)]
-    else:
-        reps = [CohClass.linear(Space([4, 4, 4]), v)
-                for v in ([2, 1, 1], [1, 3, 1], [1, 1, 4])]
-    want = _naive_substitute(p, reps)
-    products = _spy_products(monkeypatch, type(reps[0]))
-    assert p.substitute(reps) == want
-    (unit,) = reps[0].constant(1, reps[0].ring).terms
-    # no multiply has a single constant on its left: those read the table
-    assert not any(len(a) == 1 and unit in a for a, _ in products)
-    # the powers of r_3 are tabled once: r_3^2 ... r_3^k for the largest k
-    top = max(e[2] for e in p.exps_terms())
-    assert sum(b is reps[2].terms for _, b in products) == top - 1
+    # r_2^2 at x1^3, times r_1^2, + r_2^2 at x1, times r_1, + (-2 r_2 + 5):
+    # 2 + 2 + 2 + 1 + 1 multiplies
+    assert len(products) == 8
     assert all(any(b is r.terms for r in reps) for _, b in products)
 
 
 def test_substitute_leaves_the_replacements_unchanged():
-    # results read off the power table, and sums into them, are fresh dicts
+    # every result, and every sum into one, is a fresh dict
     X = Space([3, 3])
     reps = [CohClass.linear(X, [2, 1]), CohClass.linear(X, [1, 3])]
     saved = [dict(r.terms) for r in reps]
@@ -169,20 +145,6 @@ def test_substitute_leaves_the_replacements_unchanged():
         kernels.add_scaled(second.terms, reps[1].terms)
         assert [r.terms for r in reps] == saved
         assert all(r.terms is not t for r in reps for t in (first.terms, second.terms))
-
-
-def test_substitute_leaves_no_reference_cycle():
-    # the power table is freed when the call returns, not at a later collection
-    X = Space([4, 4])
-    reps = [CohClass.linear(X, [2, 1]), CohClass.linear(X, [1, 3])]
-    p = P(2, {(3, 1): 1, (1, 3): -2, (0, 4): 5})
-    gc.collect()
-    gc.disable()
-    try:
-        assert p.substitute(reps) == _naive_substitute(p, reps)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_substitute_without_variables_returns_the_polynomial():
